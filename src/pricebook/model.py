@@ -116,13 +116,19 @@ class FeatureValue:
         return self.value != ""
 
 
+# Shared schema defaults; sharing is safe because FeatureValue is frozen.
+_FALSE = FeatureValue.boolean(False)
+_ZERO = FeatureValue.numeric(0)
+_EMPTY_TEXT = FeatureValue.text("")
+
+
 def default_value_for(kind: ValueKind) -> FeatureValue:
     """The schema default payload for a value kind: false, 0, or ""."""
     if kind is ValueKind.BOOLEAN:
-        return FeatureValue.boolean(False)
+        return _FALSE
     if kind is ValueKind.NUMERIC:
-        return FeatureValue.numeric(0)
-    return FeatureValue.text("")
+        return _ZERO
+    return _EMPTY_TEXT
 
 
 @dataclass(frozen=True)
@@ -238,12 +244,10 @@ class Pricing:
             out.update({key: value for key, value in values.items() if key not in catalog})
             return out
 
+        feature_position = _position_key(self.features)
         limits = {}
         for name, limit in self.usage_limits.items():
-            linked = tuple(
-                sorted(set(limit.linked_features),
-                       key=lambda f: _catalog_index(self.features, f))
-            )
+            linked = tuple(sorted(set(limit.linked_features), key=feature_position))
             if linked != limit.linked_features:
                 limit = replace(limit, linked_features=linked)
             limits[name] = limit
@@ -264,12 +268,10 @@ class Pricing:
             plans[name] = replace(plan, feature_overrides=fo, limit_overrides=lo)
         object.__setattr__(self, "plans", plans)
 
+        plan_position = _position_key(plans)
         add_ons = {}
         for name, add_on in self.add_ons.items():
-            available = tuple(
-                sorted(set(add_on.available_for),
-                       key=lambda p: _catalog_index(plans, p))
-            )
+            available = tuple(sorted(set(add_on.available_for), key=plan_position))
             add_ons[name] = replace(
                 add_on,
                 available_for=available,
@@ -449,11 +451,11 @@ def pricing_stats(pricing: Pricing) -> StatsSummary:
     )
 
 
-def _catalog_index(catalog: dict, name: str) -> int:
-    for index, key in enumerate(catalog):
-        if key == name:
-            return index
-    return len(catalog)  # unknown names sort last; _check rejects them next
+def _position_key(catalog: dict):
+    """Sort key by declaration position in ``catalog``."""
+    positions = {key: index for index, key in enumerate(catalog)}
+    unknown = len(positions)  # unknown names sort last; _check rejects them next
+    return lambda name: positions.get(name, unknown)
 
 
 def _check_identifier(name: str, label: str) -> None:

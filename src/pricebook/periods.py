@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import calendar
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import MAXYEAR, datetime, timedelta
 from enum import Enum
 
 from .errors import ModelError
@@ -38,6 +38,9 @@ _CANONICAL_DAYS = {
 }
 
 _SECONDS = {PeriodUnit.DAY: 86400, PeriodUnit.WEEK: 7 * 86400}
+
+# December 9999, the last month a datetime can name, as year * 12 + month - 1.
+_LAST_MONTH = MAXYEAR * 12 + 11
 
 
 @dataclass(frozen=True)
@@ -83,7 +86,11 @@ def advance(start: datetime, period: Period, count: int) -> datetime:
 
 
 def latest_window_index(start: datetime, period: Period, now: datetime) -> int:
-    """Largest k with ``advance(start, period, k) <= now``; requires now >= start."""
+    """Largest k with ``advance(start, period, k) <= now``; requires now >= start.
+
+    A window that would start past the last instant a datetime can name
+    never starts, so stepping stops short of it.
+    """
     if now < start:
         raise ValueError("now precedes start")
     if period.unit in _SECONDS:
@@ -92,7 +99,9 @@ def latest_window_index(start: datetime, period: Period, now: datetime) -> int:
     months_per = period.value * (12 if period.unit is PeriodUnit.YEAR else 1)
     elapsed_months = (now.year - start.year) * 12 + (now.month - start.month)
     k = max(elapsed_months // months_per, 0)
-    while advance(start, period, k + 1) <= now:
+    first_month = start.year * 12 + start.month - 1
+    while (first_month + months_per * (k + 1) <= _LAST_MONTH
+           and advance(start, period, k + 1) <= now):
         k += 1
     while k > 0 and advance(start, period, k) > now:
         k -= 1

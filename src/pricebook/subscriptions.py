@@ -118,7 +118,10 @@ def parse_instant(text: str) -> datetime:
         raise ValueError(f"timestamp must carry a UTC offset: {text!r}")
     if instant.microsecond != 0:
         raise ValueError(f"timestamps are whole seconds, got {text!r}")
-    return instant.astimezone(timezone.utc)
+    try:
+        return instant.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp is outside the calendar in UTC: {text!r}") from None
 
 
 def format_instant(instant: datetime) -> str:
@@ -401,7 +404,13 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
             index = entry.get("windowIndex")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"usage entry for {name!r} needs a windowIndex")
-            usage[name] = UsageState(used, advance(start, limit.period, index), index)
+            try:
+                window_start = advance(start, limit.period, index)
+            except (OverflowError, ValueError):
+                raise ValueError(
+                    f"usage entry for {name!r} has a windowIndex past the calendar"
+                ) from None
+            usage[name] = UsageState(used, window_start, index)
         else:
             usage[name] = UsageState(used)
     return Subscription(

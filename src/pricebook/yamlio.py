@@ -89,9 +89,16 @@ def parse(text: str) -> Pricing:
     """Read a pricing document; raises DocumentError listing all problems.
 
     Total over arbitrary input text: the only exception raised is
-    DocumentError.
+    DocumentError. Composes on libyaml when PyYAML has it and the text is
+    one on which libyaml and the pure-Python loader agree; every error is
+    reported as the pure-Python loader finds it, so the result and the
+    error text are the same either way.
     """
-    errors: list[ParseError] = []
+    if _LIBYAML_LOADER is not None and _libyaml_agrees(text):
+        try:
+            return _read(yaml.compose(text, Loader=_LIBYAML_LOADER))
+        except (yaml.YAMLError, UnicodeError, DocumentError):
+            pass  # recompute, so that errors and their marks are the pure loader's
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
@@ -100,12 +107,48 @@ def parse(text: str) -> Pricing:
         raise DocumentError(
             [ParseError(1, 1, "", ErrorKind.SYNTAX, "document nesting is too deep")]
         ) from None
+    return _read(root)
+
+
+# libyaml composes about ten times faster than PyYAML's pure-Python loader,
+# which stays the reference. The two part ways on some texts, which the
+# pure loader alone reads:
+# - tabs and "?": libyaml accepts them in places the pure scanner rejects,
+#   such as a trailing tab or "{value: what?}";
+# - a byte-order mark past the first character, which libyaml skips at the
+#   start of a line;
+# - NEL, LS and PS, line breaks whose marks the two loaders place apart;
+# - deep nesting: the pure composer recurses per level and reports "nesting
+#   is too deep" at about 450 levels, while libyaml recurses in C without a
+#   limit and crashes the interpreter. Flow depth is at most the number of
+#   "[" and "{", and block depth at most twice the width of the run of
+#   spaces, "-" and ":" that opens a line, plus two; a line opens after
+#   "\n" or a lone "\r", both of which are line breaks to both loaders. With
+#   the bounds below no text read on libyaml nests deeper than
+#   255 + 2 * 63 + 2 = 383 levels.
+_LIBYAML_LOADER = getattr(yaml, "CSafeLoader", None)
+_PURE_ONLY_CHARS = "\t\x85\u2028\u2029?"
+_MAX_FLOW_OPENERS = 256
+_DEEP_LINE_RE = re.compile(r"\n[ :-]{64}")
+
+
+def _libyaml_agrees(text: str) -> bool:
+    return (
+        not any(char in text for char in _PURE_ONLY_CHARS)
+        and text.find("\ufeff", 1) < 0
+        and text.count("[") + text.count("{") < _MAX_FLOW_OPENERS
+        # a line opens at the start of the text and after "\n" or "\r"
+        and _DEEP_LINE_RE.search("\n" + text.replace("\r", "\n")) is None
+    )
+
+
+def _read(root: yaml.nodes.Node | None) -> Pricing:
     if root is None:
         raise DocumentError(
             [ParseError(1, 1, "", ErrorKind.MISSING_REQUIRED, "document is empty")]
         )
-    reader = _Reader(errors)
-    pricing = reader.document(root)
+    errors: list[ParseError] = []
+    pricing = _Reader(errors).document(root)
     if errors or pricing is None:
         if not errors:
             errors.append(ParseError(1, 1, "", ErrorKind.SYNTAX, "could not interpret document"))
@@ -125,6 +168,10 @@ def _yaml_error(exc: yaml.YAMLError, text: str) -> ParseError:
         line, column = 1, 1
     message = " ".join(str(exc).split()) or "malformed YAML"
     return ParseError(line, column, "", ErrorKind.SYNTAX, message)
+
+
+def _choices(enum_cls) -> str:
+    return ", ".join(member.value for member in enum_cls)
 
 
 def _loc(node: yaml.nodes.Node) -> tuple[int, int]:
@@ -187,7 +234,9 @@ class _Reader:
         if not isinstance(node, yaml.nodes.ScalarNode):
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a scalar value")
             return None
-        if node.style is not None:  # quoted or block scalar: always a string
+        # Plain scalars have style None under the pure loader and '' under
+        # libyaml; any other style is quoted or block: always a string.
+        if node.style:
             return ("str", node.value)
         text = node.value
         if text in _NULL_WORDS:
@@ -231,7 +280,7 @@ class _Reader:
         return value
 
     def integer(self, node, path: str, *, minimum: int) -> int | None:
-        if isinstance(node, yaml.nodes.ScalarNode) and node.style is None and _INT_RE.match(node.value):
+        if isinstance(node, yaml.nodes.ScalarNode) and not node.style and _INT_RE.match(node.value):
             value = int(node.value)
             if value < minimum:
                 self.err(node, path, ErrorKind.TYPE_MISMATCH, f"expected an integer >= {minimum}")
@@ -245,15 +294,15 @@ class _Reader:
         if sc is None:
             return None
         kind, value = sc
-        allowed = ", ".join(member.value for member in enum_cls)
-        if kind != "str":
-            self.err(node, path, ErrorKind.BAD_ENUM, f"expected one of: {allowed}")
-            return None
-        try:
-            return enum_cls(value)
-        except ValueError:
-            self.err(node, path, ErrorKind.BAD_ENUM, f"{value!r} is not one of: {allowed}")
-            return None
+        if kind == "str":
+            try:
+                return enum_cls(value)
+            except ValueError:
+                message = f"{value!r} is not one of: {_choices(enum_cls)}"
+        else:
+            message = f"expected one of: {_choices(enum_cls)}"
+        self.err(node, path, ErrorKind.BAD_ENUM, message)
+        return None
 
     def feature_value(self, node, path: str, declared: ValueKind | None) -> FeatureValue | None:
         sc = self.scalar(node, path)

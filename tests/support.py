@@ -866,3 +866,28 @@ def random_events(rng: random.Random, pricing: Pricing, anchor: datetime,
             at=anchor + timedelta(seconds=offset),
         ))
     return events
+
+
+# A pricing with one daily window, for calendar-edge cases.
+DAILY_DOC = """saasName: Daily
+version: "1"
+currency: USD
+billingPeriod:
+  value: 1
+  unit: MONTH
+features:
+  calls:
+    type: DOMAIN
+usageLimits:
+  callsPerDay:
+    type: RENEWABLE
+    metric: calls
+    period:
+      value: 1
+      unit: DAY
+    defaultValue: 10
+    linkedFeatures: [calls]
+plans:
+  P:
+    price: 1
+"""

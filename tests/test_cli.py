@@ -6,10 +6,10 @@ from decimal import Decimal
 
 import pytest
 
-from pricebook import create_subscription, parse_instant, serialize, subscription_to_json
+from pricebook import create_subscription, parse, parse_instant, serialize, subscription_to_json
 from pricebook.cli import main
 
-from support import from_raw, to_raw
+from support import DAILY_DOC, from_raw, to_raw
 
 T0 = "2024-01-31T12:00:00Z"
 
@@ -241,3 +241,30 @@ class TestStats:
         first = run(capsys, "stats", zoom_file, "--format", "json")
         second = run(capsys, "stats", zoom_file, "--format", "json")
         assert first == second
+
+
+class TestCalendarEnd:
+    def test_evaluate_at_the_last_day(self, capsys, zoom_file):
+        code, out, err = run(capsys, "evaluate", zoom_file, "--plan", "PRO", "--all",
+                             "--at", "9999-12-31T00:00:00Z")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)) == 12
+
+    def test_instant_past_the_calendar_exit_3(self, capsys, zoom_file):
+        code, out, err = run(capsys, "evaluate", zoom_file, "--plan", "PRO", "--all",
+                             "--at", "9999-12-31T23:00:00-05:00")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ")
+
+    def test_window_index_past_the_calendar_exit_3(self, capsys, tmp_path):
+        doc = tmp_path / "daily.yml"
+        doc.write_text(DAILY_DOC, encoding="utf-8")
+        pricing = parse(DAILY_DOC)
+        sub = create_subscription(pricing, "P", [], parse_instant(T0))
+        state = tmp_path / "state.json"
+        state.write_text(subscription_to_json(pricing, sub).replace(
+            '"windowIndex": 0', '"windowIndex": 1000000000000'), encoding="utf-8")
+        code, out, err = run(capsys, "consume", str(doc), "--subscription", str(state),
+                             "--limit", "callsPerDay", "--amount", "1")
+        assert (code, out) == (3, "")
+        assert "windowIndex" in err

@@ -21,6 +21,7 @@ from pricebook import (
     evaluation_context,
     format_instant,
     lapse_windows,
+    parse,
     parse_instant,
     record_usage,
     reset_usage,
@@ -30,6 +31,7 @@ from pricebook import (
 from pricebook.periods import advance, latest_window_index
 
 from support import (
+    DAILY_DOC,
     engine_replay,
     oracle_replay,
     oracle_window_index,
@@ -307,3 +309,31 @@ class TestStatePersistence:
             subscription_from_json(zoom, "{}")
         with pytest.raises(ValueError):
             subscription_from_json(zoom, "not json")
+
+
+class TestCalendarEnd:
+    """Windows and instants at the edge of what a datetime can name."""
+
+    def test_window_past_the_calendar_never_starts(self):
+        start = parse_instant("9999-12-31T00:00:00Z")
+        for unit in PeriodUnit:
+            assert latest_window_index(start, Period(1, unit), start) == 0
+        start = parse_instant("9999-06-30T00:00:00Z")
+        end = parse_instant("9999-12-31T23:59:59Z")
+        assert latest_window_index(start, Period(1, PeriodUnit.MONTH), end) == 6
+        assert latest_window_index(start, Period(5, PeriodUnit.MONTH), end) == 1
+        assert latest_window_index(start, Period(1, PeriodUnit.YEAR), end) == 0
+
+    def test_window_index_past_the_calendar_is_a_value_error(self):
+        pricing = parse(DAILY_DOC)
+        sub = create_subscription(pricing, "P", [], T0)
+        for index in (10**12, 3_000_000):
+            text = subscription_to_json(pricing, sub).replace(
+                '"windowIndex": 0', f'"windowIndex": {index}')
+            with pytest.raises(ValueError):
+                subscription_from_json(pricing, text)
+
+    def test_instant_past_the_calendar_is_a_value_error(self):
+        for text in ("9999-12-31T23:00:00-05:00", "0001-01-01T01:00:00+05:00"):
+            with pytest.raises(ValueError):
+                parse_instant(text)

@@ -1,4 +1,8 @@
-"""Document reading and writing: errors with locations, round-trips, fuzz."""
+"""Document reading and writing: errors with locations, round-trips, fuzz.
+
+These tests run under the default loader, libyaml when PyYAML has it;
+``test_yamlio_pure.py`` runs them again under the pure-Python loader.
+"""
 
 import random
 
@@ -245,7 +249,7 @@ def test_error_locality_under_single_scalar_mutation(zoom_text):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.text(max_size=400))
+@given(st.text(st.characters(codec=None), max_size=400))  # surrogates included
 def test_parse_never_crashes(text):
     try:
         parse(text)
@@ -260,3 +264,13 @@ def test_parse_never_crashes_yamlish(text):
         parse(text)
     except DocumentError as exc:
         assert exc.errors
+
+
+@pytest.mark.parametrize("text", [
+    "saasName: \ud800\n",
+    "\udfff",
+    "features:\n  f\ud83d:\n    type: DOMAIN\n",
+])
+def test_lone_surrogate_is_a_syntax_error(text):
+    errs = errors_of(text)
+    assert [e.kind for e in errs] == [ErrorKind.SYNTAX]
