@@ -306,19 +306,19 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
     """
     if subscription.plan_name not in pricing.plans:
         raise UnknownPlanError(subscription.plan_name)
-    resolved = resolve_plan(pricing, subscription.plan_name)
+    plan = pricing.plans[subscription.plan_name]
+    grants = pricing._index.grants
 
     def grants_truthy(feature: str) -> bool:
         return any(
-            add_on.name in subscription.add_on_names
-            and feature in add_on.feature_grants
-            and add_on.feature_grants[feature].truthy
-            for add_on in pricing.add_ons.values()
+            value.truthy
+            for add_on, value in grants.get(feature, ())
+            if add_on in subscription.add_on_names
         )
 
     reachable_features = {
-        name for name in pricing.features
-        if resolved.feature_values[name].truthy or grants_truthy(name)
+        name for name, feature in pricing.features.items()
+        if plan.feature_overrides.get(name, feature.default_value).truthy or grants_truthy(name)
     }
     reachable_limits = {
         name for name, limit in pricing.usage_limits.items()

@@ -1,11 +1,16 @@
 """In-memory model of a SaaS pricing: plans, add-ons, features, usage limits.
 
-All objects are frozen dataclasses and safe to share between threads. The
-``Pricing`` constructor canonicalizes its input (plan overrides exactly
-equal to the catalog default are dropped, since they change nothing) and
-then enforces every structural invariant, so any ``Pricing`` you can hold
-is internally consistent: names are unique, every reference resolves, and
-every value matches its declared kind.
+All objects are frozen dataclasses. The ``Pricing`` constructor
+canonicalizes its input (plan overrides exactly equal to the catalog
+default are dropped, since they change nothing), makes every map it holds
+read-only, its own and those of its plans and add-ons, and then enforces
+every structural invariant, so any ``Pricing`` you can hold is internally
+consistent: names are unique, every reference resolves, and every value
+matches its declared kind. A ``Pricing`` cannot change after construction,
+which is what lets the subscription engine build its lookup index once per
+pricing, on first use, and keep it. ``Plan`` and ``AddOn`` objects built by
+hand keep the plain dicts they were given until a ``Pricing`` takes them
+in.
 
 Numbers are ``decimal.Decimal`` throughout. Documents round-trip exactly
 and equality never suffers binary floating point surprises.
@@ -17,6 +22,7 @@ import re
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
+from functools import cached_property
 
 from .errors import ModelError, NoPlansError, UnknownPlanError
 from .periods import Period
@@ -40,6 +46,25 @@ __all__ = [
 ]
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+class _FrozenDict(dict):
+    """A dict that refuses every change after construction.
+
+    A ``dict`` subclass rather than ``types.MappingProxyType``, so that it
+    reads at dict speed and a ``Pricing`` still pickles and deep-copies.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("pricing maps are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (_FrozenDict, (dict(self),))
 
 
 class FeatureType(Enum):
@@ -218,7 +243,9 @@ class Pricing:
     """Root container for a pricing document.
 
     Maps preserve declaration order; that order is what the serializer and
-    the diff engine report things in.
+    the diff engine report things in. Every map is read-only once
+    constructed; ``hash(pricing)`` is not supported and raises
+    ``TypeError``.
     """
 
     saas_name: str
@@ -239,10 +266,14 @@ class Pricing:
         # true: plan overrides restating the catalog default are dropped
         # (they are inert under resolution), and every cross-reference map
         # or list is rewritten in catalog declaration order, deduplicated.
+        # Every map is frozen on the way, which is what makes caching
+        # derived lookups (``_index``) sound.
         def ordered(values: dict, catalog: dict) -> dict:
             out = {key: values[key] for key in catalog if key in values}
             out.update({key: value for key, value in values.items() if key not in catalog})
-            return out
+            return _FrozenDict(out)
+
+        object.__setattr__(self, "features", _FrozenDict(self.features))
 
         feature_position = _position_key(self.features)
         limits = {}
@@ -251,7 +282,7 @@ class Pricing:
             if linked != limit.linked_features:
                 limit = replace(limit, linked_features=linked)
             limits[name] = limit
-        object.__setattr__(self, "usage_limits", limits)
+        object.__setattr__(self, "usage_limits", _FrozenDict(limits))
 
         plans = {}
         for name, plan in self.plans.items():
@@ -266,7 +297,7 @@ class Pricing:
                 if l not in self.usage_limits or self.usage_limits[l].default_value != v
             }, self.usage_limits)
             plans[name] = replace(plan, feature_overrides=fo, limit_overrides=lo)
-        object.__setattr__(self, "plans", plans)
+        object.__setattr__(self, "plans", _FrozenDict(plans))
 
         plan_position = _position_key(plans)
         add_ons = {}
@@ -278,7 +309,7 @@ class Pricing:
                 feature_grants=ordered(add_on.feature_grants, self.features),
                 limit_extensions=ordered(add_on.limit_extensions, self.usage_limits),
             )
-        object.__setattr__(self, "add_ons", add_ons)
+        object.__setattr__(self, "add_ons", _FrozenDict(add_ons))
 
     def _check(self) -> None:
         if not self.saas_name.strip():
@@ -316,6 +347,11 @@ class Pricing:
                 if l not in self.usage_limits:
                     raise ModelError(f"add-on {add_on.name!r} extends unknown limit {l!r}")
 
+    @cached_property
+    def _index(self) -> _EngineIndex:
+        """The subscription engine's lookups, built on its first call."""
+        return _EngineIndex.build(self)
+
     def _check_feature_values(self, values: dict[str, FeatureValue], owner: str) -> None:
         for f, v in values.items():
             if f not in self.features:
@@ -331,6 +367,41 @@ class Pricing:
             if l not in self.usage_limits:
                 raise ModelError(f"{owner} references unknown limit {l!r}")
             _check_amount(v, f"{owner} value for {l!r}")
+
+
+@dataclass(frozen=True)
+class _EngineIndex:
+    """Where the subscription engine finds what touches one name.
+
+    Every entry lists its sources in catalog order, the order in which
+    extensions add up and the last grant wins. It holds no resolved plan
+    tables: the engine reads the one plan value it needs from the plan's
+    overrides, so the index stays small and catalog-wide readers
+    (``validate``, ``pricing_stats``, ``diff``) never build it.
+    """
+
+    linked_limits: dict[str, tuple[str, ...]]  # feature -> limits linked to it
+    grants: dict[str, tuple[tuple[str, FeatureValue], ...]]  # feature -> (add-on, grant)
+    extensions: dict[str, tuple[tuple[str, Decimal], ...]]  # limit -> (add-on, extension)
+
+    @classmethod
+    def build(cls, pricing: Pricing) -> _EngineIndex:
+        linked: dict[str, list] = {}
+        for limit in pricing.usage_limits.values():
+            for feature in limit.linked_features:
+                linked.setdefault(feature, []).append(limit.name)
+        grants: dict[str, list] = {}
+        extensions: dict[str, list] = {}
+        for add_on in pricing.add_ons.values():
+            for feature, value in add_on.feature_grants.items():
+                grants.setdefault(feature, []).append((add_on.name, value))
+            for limit, amount in add_on.limit_extensions.items():
+                extensions.setdefault(limit, []).append((add_on.name, amount))
+
+        def frozen(entries: dict[str, list]) -> _FrozenDict:
+            return _FrozenDict({key: tuple(value) for key, value in entries.items()})
+
+        return cls(frozen(linked), frozen(grants), frozen(extensions))
 
 
 @dataclass(frozen=True)

@@ -106,3 +106,28 @@ def latest_window_index(start: datetime, period: Period, now: datetime) -> int:
     while k > 0 and advance(start, period, k) > now:
         k -= 1
     return k
+
+
+def window_started(start: datetime, period: Period, index: int, now: datetime) -> bool:
+    """Whether window ``index + 1`` has started by ``now``.
+
+    For ``now`` at or after ``start`` it equals
+    ``latest_window_index(start, period, now) > index``, but it needs no
+    calendar arithmetic except in the month in which that window starts.
+    Days and weeks compare elapsed whole seconds; months and years compare
+    month numbers, as long as both instants carry the same ``tzinfo`` and
+    so read the same wall clock.
+    """
+    if period.unit in _SECONDS:
+        elapsed = now - start
+        span = _SECONDS[period.unit] * period.value
+        return elapsed.days * 86400 + elapsed.seconds >= span * (index + 1)
+    months_per = period.value * (12 if period.unit is PeriodUnit.YEAR else 1)
+    month = start.year * 12 + start.month - 1 + months_per * (index + 1)
+    if month > _LAST_MONTH:
+        return False  # a window past the calendar never starts
+    if now.tzinfo is start.tzinfo:
+        now_month = now.year * 12 + now.month - 1
+        if now_month != month:
+            return now_month > month
+    return advance(start, period, index + 1) <= now

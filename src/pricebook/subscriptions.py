@@ -31,8 +31,8 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import FeatureValue, Pricing, ResolvedPlanConfig, resolve_plan, value_to_json
-from .periods import Period, PeriodUnit, advance, latest_window_index
+from .model import FeatureValue, Plan, Pricing, value_to_json
+from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
     "UsageState",
@@ -181,11 +181,29 @@ def effective_limit(pricing: Pricing, subscription: Subscription, limit_name: st
     """Plan-resolved limit value plus all subscribed add-ons' extensions."""
     if limit_name not in pricing.usage_limits:
         raise UnknownLimitError(limit_name)
-    resolved = resolve_plan(pricing, subscription.plan_name)
-    total = resolved.limit_values[limit_name]
-    for add_on in pricing.add_ons.values():
-        if add_on.name in subscription.add_on_names:
-            total += add_on.limit_extensions.get(limit_name, Decimal(0))
+    return _effective(pricing, _plan(pricing, subscription), subscription.add_on_names, limit_name)
+
+
+def _plan(pricing: Pricing, subscription: Subscription) -> Plan:
+    plan = pricing.plans.get(subscription.plan_name)
+    if plan is None:
+        raise UnknownPlanError(subscription.plan_name)
+    return plan
+
+
+def _effective(pricing: Pricing, plan: Plan, add_on_names: frozenset[str],
+               limit_name: str) -> Decimal:
+    """Plan value plus the extensions of the subscribed add-ons that extend it."""
+    total = plan.limit_overrides.get(limit_name, pricing.usage_limits[limit_name].default_value)
+    extended = 0
+    for add_on, amount in pricing._index.extensions.get(limit_name, ()):
+        if add_on in add_on_names:
+            total += amount
+            extended += 1
+    # A subscribed add-on that extends nothing here adds 0: no change in
+    # value, but the exponent becomes at most 0 (1E+2 reads 100).
+    if extended < len(pricing.add_ons.keys() & add_on_names):
+        total += Decimal(0)
     return total
 
 
@@ -201,57 +219,46 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
             f"{format_instant(now)} precedes subscription start "
             f"{format_instant(subscription.start_instant)}"
         )
-    updated: dict[str, UsageState] = {}
-    changed = False
+    start = subscription.start_instant
+    renewed: dict[str, UsageState] | None = None
     for name, state in subscription.usage.items():
-        limit = pricing.usage_limits.get(name)
-        if limit is None or limit.period is None or state.window_index is None:
-            updated[name] = state
+        if state.window_index is None:
             continue
-        k = latest_window_index(subscription.start_instant, limit.period, now)
-        if k > state.window_index:
-            updated[name] = UsageState(
-                Decimal(0),
-                advance(subscription.start_instant, limit.period, k),
-                k,
-            )
-            changed = True
-        else:
-            updated[name] = state
-    if not changed:
+        limit = pricing.usage_limits.get(name)
+        if limit is None or limit.period is None:
+            continue
+        if not window_started(start, limit.period, state.window_index, now):
+            continue
+        if renewed is None:
+            renewed = dict(subscription.usage)
+        k = latest_window_index(start, limit.period, now)
+        renewed[name] = UsageState(Decimal(0), advance(start, limit.period, k), k)
+    if renewed is None:
         return subscription
-    return replace(subscription, usage=updated)
-
-
-def _grant_for(pricing: Pricing, subscription: Subscription, feature_name: str):
-    """All grants for a feature from subscribed add-ons, in catalog order."""
-    grants = []
-    for add_on in pricing.add_ons.values():
-        if add_on.name in subscription.add_on_names and feature_name in add_on.feature_grants:
-            grants.append(add_on.feature_grants[feature_name])
-    return grants
+    return replace(subscription, usage=renewed)
 
 
 def _evaluate(
     pricing: Pricing,
     lapsed: Subscription,
-    resolved: ResolvedPlanConfig,
+    plan: Plan,
     feature_name: str,
 ) -> EvaluationResult:
-    plan_value = resolved.feature_values[feature_name]
-    grants = _grant_for(pricing, lapsed, feature_name)
+    names = lapsed.add_on_names
+    plan_value = plan.feature_overrides.get(feature_name,
+                                            pricing.features[feature_name].default_value)
+    grants = [value for add_on, value in pricing._index.grants.get(feature_name, ())
+              if add_on in names]
     enabled = plan_value.truthy or any(g.truthy for g in grants)
     # A grant dominates the plan value; with several, the last add-on in
     # catalog order wins.
     value = grants[-1] if grants else plan_value
     statuses = []
-    for limit in pricing.usage_limits.values():
-        if feature_name not in limit.linked_features:
-            continue
-        eff = effective_limit(pricing, lapsed, limit.name)
-        used = lapsed.usage[limit.name].used
+    for limit in pricing._index.linked_limits.get(feature_name, ()):
+        eff = _effective(pricing, plan, names, limit)
+        used = lapsed.usage[limit].used
         statuses.append(LimitStatus(
-            limit=limit.name,
+            limit=limit,
             effective=eff,
             used=used,
             remaining=max(Decimal(0), eff - used),
@@ -274,8 +281,7 @@ def evaluate_feature(
     if feature_name not in pricing.features:
         raise UnknownFeatureError(feature_name)
     lapsed = lapse_windows(pricing, subscription, now)
-    resolved = resolve_plan(pricing, subscription.plan_name)
-    return _evaluate(pricing, lapsed, resolved, feature_name)
+    return _evaluate(pricing, lapsed, _plan(pricing, subscription), feature_name)
 
 
 def evaluation_context(
@@ -285,8 +291,8 @@ def evaluation_context(
 ) -> dict[str, EvaluationResult]:
     """Evaluation of every declared feature, keyed in catalog order."""
     lapsed = lapse_windows(pricing, subscription, now)
-    resolved = resolve_plan(pricing, subscription.plan_name)
-    return {name: _evaluate(pricing, lapsed, resolved, name) for name in pricing.features}
+    plan = _plan(pricing, subscription)
+    return {name: _evaluate(pricing, lapsed, plan, name) for name in pricing.features}
 
 
 def record_usage(

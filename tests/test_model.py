@@ -1,5 +1,7 @@
 """Domain model: resolution, classification, stats, structural invariants."""
 
+import copy
+import pickle
 import random
 from decimal import Decimal
 
@@ -19,6 +21,11 @@ from pricebook import (
     UnknownPlanError,
     ValueKind,
     classify_features,
+    create_subscription,
+    diff,
+    evaluate_feature,
+    parse,
+    parse_instant,
     pricing_stats,
     resolve_plan,
     validate,
@@ -208,3 +215,74 @@ class TestPricingStats:
                        if v.rule.value == "R2_ORPHAN_FEATURE"}
             assert orphans == set(pricing.features) - managed
             assert stats.plan_managed_features <= len(managed)
+
+
+class TestFrozen:
+    """A constructed Pricing cannot change, so lookups derived from it stay true."""
+
+    def test_every_map_refuses_item_assignment(self, zoom_text):
+        pricing = parse(zoom_text)
+        plan = pricing.plans["PRO"]
+        add_on = pricing.add_ons["hugeMeetings"]
+        value = FeatureValue.boolean(True)
+        for mapping, key, new in (
+            (pricing.features, "chatSupport", pricing.features["chatSupport"]),
+            (pricing.usage_limits, "x", None),
+            (pricing.plans, "PRO", plan),
+            (pricing.add_ons, "x", add_on),
+            (plan.feature_overrides, "chatSupport", value),
+            (plan.limit_overrides, "maxAssistantsPerMeeting", Decimal(5)),
+            (add_on.feature_grants, "hugeMeetings", value),
+            (add_on.limit_extensions, "maxAssistantsPerMeeting", Decimal(5)),
+        ):
+            before = dict(mapping)
+            with pytest.raises(TypeError):
+                mapping[key] = new
+            for change in (lambda: mapping.pop(key), lambda: mapping.update({key: new}),
+                           lambda: mapping.setdefault(key, new), mapping.clear,
+                           mapping.popitem):
+                with pytest.raises(TypeError):
+                    change()
+            with pytest.raises(TypeError):
+                del mapping[key]
+            assert mapping == before
+
+    def test_caller_dicts_are_not_shared(self):
+        features = {"thing": Feature(name="thing", feature_type=FeatureType.DOMAIN,
+                                     default_value=FeatureValue.boolean(True))}
+        overrides = {"thing": FeatureValue.boolean(False)}
+        p = mini(features=features,
+                 plans={"P": Plan(name="P", price=Decimal(0), feature_overrides=overrides)})
+        features["other"] = Feature(name="other", feature_type=FeatureType.DOMAIN)
+        overrides["thing"] = FeatureValue.boolean(True)
+        assert list(p.features) == ["thing"]
+        assert p.plans["P"].feature_overrides == {"thing": FeatureValue.boolean(False)}
+
+    def test_pickle_and_deepcopy_round_trip(self, zoom_text):
+        pricing = parse(zoom_text)
+        sub = create_subscription(pricing, "PRO", ["hugeMeetings"],
+                                  parse_instant("2024-01-31T12:00:00Z"))
+        expected = evaluate_feature(pricing, sub, "hugeMeetings", sub.start_instant)
+        for copied in (pickle.loads(pickle.dumps(pricing)), copy.deepcopy(pricing)):
+            assert copied == pricing
+            assert copied is not pricing
+            assert evaluate_feature(copied, sub, "hugeMeetings", sub.start_instant) == expected
+            with pytest.raises(TypeError):
+                copied.plans["PRO"].limit_overrides["maxAssistantsPerMeeting"] = Decimal(1)
+
+    def test_not_hashable(self, zoom):
+        with pytest.raises(TypeError):
+            hash(zoom)
+
+    def test_catalog_readers_build_no_engine_index(self):
+        rng = random.Random(404)
+        for _ in range(20):
+            pricing = random_pricing(rng, min_plans=1)
+            validate(pricing)
+            pricing_stats(pricing)
+            classify_features(pricing)
+            diff(pricing, pricing)
+            for plan in pricing.plans:
+                resolve_plan(pricing, plan)
+            assert "_index" not in vars(pricing)
+

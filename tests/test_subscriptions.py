@@ -1,9 +1,14 @@
 """Entitlement evaluation, quota accounting, window resets, persistence."""
 
+import calendar
 import random
+from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pricebook import (
     AddOnNotAvailableError,
@@ -14,7 +19,9 @@ from pricebook import (
     PeriodUnit,
     QuotaExceededError,
     UnknownAddOnError,
+    UnknownFeatureError,
     UnknownLimitError,
+    UnknownPlanError,
     create_subscription,
     effective_limit,
     evaluate_feature,
@@ -28,7 +35,7 @@ from pricebook import (
     subscription_from_json,
     subscription_to_json,
 )
-from pricebook.periods import advance, latest_window_index
+from pricebook.periods import advance, latest_window_index, window_started
 
 from support import (
     DAILY_DOC,
@@ -90,6 +97,19 @@ class TestEffectiveLimit:
     def test_unknown_limit(self, zoom, pro):
         with pytest.raises(UnknownLimitError):
             effective_limit(zoom, pro, "nope")
+
+    def test_subscribed_add_on_without_extension_keeps_the_sum_exponent(self):
+        # The effective limit is a sum over every subscribed add-on, an add-on
+        # that does not extend the limit adding 0, so 1e2 reads 100 with one.
+        pricing = parse(DAILY_DOC.replace("defaultValue: 10", "defaultValue: 1e2")
+                        + "addOns:\n  more:\n    price: 1\n    features:\n"
+                          "      calls:\n        value: true\n")
+        plain = create_subscription(pricing, "P", [], T0)
+        with_add_on = create_subscription(pricing, "P", ["more"], T0)
+        assert str(effective_limit(pricing, plain, "callsPerDay")) == "1E+2"
+        assert str(effective_limit(pricing, with_add_on, "callsPerDay")) == "100"
+        with pytest.raises(QuotaExceededError, match="effective=100 "):
+            record_usage(pricing, with_add_on, "callsPerDay", Decimal(101), T0)
 
 
 class TestEvaluateFeature:
@@ -287,6 +307,107 @@ class TestProperties:
                     assert after.enabled
             checked += 1
         assert checked > 20
+
+
+class TestUnknownPlan:
+    """A subscription whose plan the pricing does not declare."""
+
+    @pytest.fixture()
+    def stray(self, pro_huge):
+        return replace(pro_huge, plan_name="NOPE")
+
+    def test_engine_calls_raise_unknown_plan(self, zoom, stray):
+        with pytest.raises(UnknownPlanError):
+            effective_limit(zoom, stray, "maxAssistantsPerMeeting")
+        with pytest.raises(UnknownPlanError):
+            record_usage(zoom, stray, "maxAssistantsPerMeeting", Decimal(1), T0)
+        for feature in ("onlineMeetings", "hugeMeetings", "chatSupport"):
+            with pytest.raises(UnknownPlanError):
+                evaluate_feature(zoom, stray, feature, T0)
+        with pytest.raises(UnknownPlanError):
+            evaluation_context(zoom, stray, T0)
+
+    def test_clock_before_start_comes_first(self, zoom, stray):
+        early = parse_instant("2024-01-01T00:00:00Z")
+        with pytest.raises(ClockBeforeStartError):
+            record_usage(zoom, stray, "maxAssistantsPerMeeting", Decimal(1), early)
+        with pytest.raises(ClockBeforeStartError):
+            evaluate_feature(zoom, stray, "onlineMeetings", early)
+        with pytest.raises(ClockBeforeStartError):
+            evaluation_context(zoom, stray, early)
+
+    def test_argument_errors_come_first(self, zoom, stray):
+        with pytest.raises(UnknownLimitError):
+            effective_limit(zoom, stray, "nope")
+        with pytest.raises(UnknownLimitError):
+            record_usage(zoom, stray, "nope", Decimal(1), T0)
+        with pytest.raises(NonPositiveAmountError):
+            record_usage(zoom, stray, "maxAssistantsPerMeeting", Decimal(0), T0)
+        with pytest.raises(UnknownFeatureError):
+            evaluate_feature(zoom, stray, "nope", T0)
+
+
+_OFFSETS = [timezone.utc, timezone(timedelta(hours=5, minutes=30)), timezone(timedelta(hours=-3))]
+_LAST_UTC = datetime.max.replace(microsecond=0, tzinfo=timezone.utc)
+
+
+@st.composite
+def _window_cases(draw):
+    """(start, period, index, now) with now >= start, near month ends and the calendar's."""
+    year = draw(st.one_of(st.integers(1, 9999), st.sampled_from([2000, 2023, 2024, 2100, 9999])))
+    month = draw(st.integers(1, 12))
+    day = min(draw(st.sampled_from([28, 29, 30, 31, 1, 15])), calendar.monthrange(year, month)[1])
+    seconds = draw(st.integers(0, 86399))
+    zone = draw(st.sampled_from(_OFFSETS))
+    start = datetime(year, month, day, seconds // 3600, seconds // 60 % 60, seconds % 60,
+                     tzinfo=zone)
+    period = Period(draw(st.integers(1, 3)), draw(st.sampled_from(list(PeriodUnit))))
+    mode = draw(st.sampled_from(["window start", "span", "calendar end"]))
+    try:
+        if mode == "window start":  # a second or two either side of one
+            now = advance(start, period, draw(st.integers(0, 40))) \
+                + timedelta(seconds=draw(st.integers(-2, 2)))
+        elif mode == "span":
+            span = draw(st.sampled_from([3 * 86400, 800 * 86400, 40 * 366 * 86400]))
+            now = start + timedelta(seconds=draw(st.integers(0, span)))
+        else:
+            now = _LAST_UTC - timedelta(seconds=draw(st.integers(0, 400 * 86400)))
+        now = now.astimezone(zone if draw(st.booleans()) else timezone.utc)
+    except (OverflowError, ValueError):
+        now = None
+    assume(now is not None and start <= now <= _LAST_UTC)
+    latest = latest_window_index(start, period, now)
+    index = max(0, latest + draw(st.one_of(st.integers(-3, 3), st.integers(-1000, 1000))))
+    return start, period, index, now, latest
+
+
+@settings(max_examples=500, deadline=None)
+@given(_window_cases())
+def test_window_started_equals_latest_window_index(case):
+    start, period, index, now, latest = case
+    assert window_started(start, period, index, now) is (latest > index)
+
+
+def test_window_started_named_cases():
+    feb29 = parse_instant("2024-02-29T06:00:00Z")
+    yearly = Period(1, PeriodUnit.YEAR)
+    assert not window_started(feb29, yearly, 0, parse_instant("2025-02-28T05:59:59Z"))
+    assert window_started(feb29, yearly, 0, parse_instant("2025-02-28T06:00:00Z"))
+    jan31 = parse_instant("2023-01-31T00:00:00Z")
+    monthly = Period(1, PeriodUnit.MONTH)
+    assert not window_started(jan31, monthly, 0, parse_instant("2023-02-27T23:59:59Z"))
+    assert window_started(jan31, monthly, 0, parse_instant("2023-02-28T00:00:00Z"))
+    assert not window_started(jan31, monthly, 2, parse_instant("2023-03-31T00:00:00Z"))
+    # Windows anchored in another UTC offset start in a different month in UTC.
+    west = datetime(2024, 1, 31, 22, tzinfo=timezone(timedelta(hours=-3)))
+    assert not window_started(west, monthly, 0, parse_instant("2024-03-01T00:59:59Z"))
+    assert window_started(west, monthly, 0, parse_instant("2024-03-01T01:00:00Z"))
+    east = datetime(2024, 1, 1, 2, tzinfo=timezone(timedelta(hours=5, minutes=30)))
+    assert not window_started(east, monthly, 0, parse_instant("2024-01-31T20:29:59Z"))
+    assert window_started(east, monthly, 0, parse_instant("2024-01-31T20:30:00Z"))
+    last = parse_instant("9999-12-31T23:59:59Z")
+    for unit in PeriodUnit:
+        assert not window_started(parse_instant("9999-12-31T00:00:00Z"), Period(1, unit), 0, last)
 
 
 class TestStatePersistence:
