@@ -1,0 +1,397 @@
+"""Byte-exact outputs: the diff's JSON lines and the canonical serializer.
+
+``OLD`` and ``NEW`` are built so that ``diff(OLD, NEW)`` raises every
+change kind, with enum, period, list, feature-value and null payloads on
+both sides; ``RICH`` and ``BARE`` take every branch of ``serialize`` that
+omits a schema default or quotes a string.
+"""
+
+from pricebook import ChangeKind, diff, parse, serialize
+
+OLD = """\
+saasName: Acme
+version: "1.0"
+currency: USD
+billingPeriod:
+  value: 1
+  unit: MONTH
+features:
+  chat:
+    description: Chat
+    type: DOMAIN
+    defaultValue: true
+  storage:
+    type: DOMAIN
+    valueType: NUMERIC
+    defaultValue: 5
+  sso:
+    type: INTEGRATION
+  motto:
+    type: INFORMATION
+    valueType: TEXT
+    defaultValue: basic
+  gone:
+    type: SUPPORT
+usageLimits:
+  messages:
+    type: RENEWABLE
+    metric: message
+    period: {value: 1, unit: DAY}
+    defaultValue: 100
+    linkedFeatures: [chat]
+  seats:
+    type: NON_RENEWABLE
+    metric: seat
+    defaultValue: 3
+  apiCalls:
+    type: RESPONSE_DRIVEN
+    metric: call
+    period: {value: 2, unit: WEEK}
+    defaultValue: 10
+  oldLimit:
+    type: NON_RENEWABLE
+    metric: thing
+    defaultValue: 1
+plans:
+  FREE:
+    price: 0
+  PRO:
+    price: 10
+    features:
+      sso: {value: true}
+      storage: {value: 50}
+      motto: {value: pro}
+    usageLimits:
+      messages: {value: 1000}
+  LEGACY:
+    price: 5
+addOns:
+  boost:
+    price: 2
+    availableFor: [PRO]
+    features:
+      motto: {value: boosted}
+    usageLimitExtensions:
+      messages: {value: 500}
+  retired:
+    price: 1
+    features:
+      sso: {value: true}
+"""
+
+NEW = """\
+saasName: Acme Corp
+version: "2.0"
+currency: EUR
+billingPeriod:
+  value: 1
+  unit: YEAR
+features:
+  chat:
+    description: Team chat
+    type: MANAGEMENT
+    defaultValue: true
+  storage:
+    type: DOMAIN
+    valueType: NUMERIC
+    defaultValue: 10
+  sso:
+    type: INTEGRATION
+    valueType: NUMERIC
+  motto:
+    type: INFORMATION
+    valueType: TEXT
+    defaultValue: "yes"
+  reports:
+    description: "Reports: weekly"
+    type: INFORMATION
+    valueType: NUMERIC
+    defaultValue: 2
+usageLimits:
+  messages:
+    type: RENEWABLE
+    metric: msg
+    period: {value: 1, unit: DAY}
+    defaultValue: 200
+    linkedFeatures: [chat, reports]
+  seats:
+    description: Named seats
+    type: TIME_DRIVEN
+    metric: seat
+    period: {value: 1, unit: MONTH}
+    defaultValue: 3
+  apiCalls:
+    type: RESPONSE_DRIVEN
+    metric: call
+    defaultValue: 10
+  exports:
+    type: NON_RENEWABLE
+    metric: export
+    defaultValue: 4
+    linkedFeatures: [reports]
+plans:
+  FREE:
+    price: 0
+  PRO:
+    price: 12.50
+    features:
+      sso: {value: 3}
+      storage: {value: 50}
+      motto: {value: "pro: plus"}
+      reports: {value: 7}
+    usageLimits:
+      messages: {value: 1000}
+      exports: {value: 40}
+  TEAM:
+    price: 30
+    features:
+      chat: {value: false}
+    usageLimits:
+      seats: {value: 25}
+addOns:
+  boost:
+    price: 3
+    availableFor: [PRO, TEAM]
+    features:
+      chat: {value: true}
+      motto: {value: "100"}
+    usageLimitExtensions:
+      apiCalls: {value: 5}
+  vault:
+    price: 0.5
+    features:
+      storage: {value: 1E+3}
+    usageLimitExtensions:
+      seats: {value: 2}
+"""
+
+DIFF_LINES = """\
+{"kind": "FeatureAdded", "feature": "reports", "definition": {"name": "reports", "description": "Reports: weekly", "type": "INFORMATION", "valueType": "NUMERIC", "defaultValue": {"type": "NUMERIC", "value": "2"}}}
+{"kind": "FeatureRemoved", "feature": "gone"}
+{"kind": "FeatureTypeChanged", "feature": "chat", "old": "DOMAIN", "new": "MANAGEMENT"}
+{"kind": "FeatureValueTypeChanged", "feature": "sso", "old": "BOOLEAN", "new": "NUMERIC"}
+{"kind": "FeatureDescriptionChanged", "feature": "chat", "old": "Chat", "new": "Team chat"}
+{"kind": "FeatureDefaultChanged", "feature": "motto", "old": {"type": "TEXT", "value": "basic"}, "new": {"type": "TEXT", "value": "yes"}}
+{"kind": "FeatureDefaultChanged", "feature": "sso", "old": {"type": "BOOLEAN", "value": false}, "new": {"type": "NUMERIC", "value": "0"}}
+{"kind": "FeatureDefaultChanged", "feature": "storage", "old": {"type": "NUMERIC", "value": "5"}, "new": {"type": "NUMERIC", "value": "10"}}
+{"kind": "LimitAdded", "limit": "exports", "definition": {"name": "exports", "description": "", "type": "NON_RENEWABLE", "metric": "export", "period": null, "defaultValue": "4", "linkedFeatures": ["reports"]}}
+{"kind": "LimitRemoved", "limit": "oldLimit"}
+{"kind": "LimitKindChanged", "limit": "seats", "old": "NON_RENEWABLE", "new": "TIME_DRIVEN"}
+{"kind": "LimitMetricChanged", "limit": "messages", "old": "message", "new": "msg"}
+{"kind": "LimitPeriodChanged", "limit": "apiCalls", "old": {"value": 2, "unit": "WEEK"}, "new": null}
+{"kind": "LimitPeriodChanged", "limit": "seats", "old": null, "new": {"value": 1, "unit": "MONTH"}}
+{"kind": "LimitDescriptionChanged", "limit": "seats", "old": "", "new": "Named seats"}
+{"kind": "LimitLinkedFeaturesChanged", "limit": "messages", "old": ["chat"], "new": ["chat", "reports"]}
+{"kind": "LimitThresholdChanged", "scope": "FREE", "limit": "messages", "old": "100", "new": "200"}
+{"kind": "LimitThresholdChanged", "scope": "PRO", "limit": "exports", "old": null, "new": "40"}
+{"kind": "LimitThresholdChanged", "scope": "default", "limit": "messages", "old": "100", "new": "200"}
+{"kind": "PlanAdded", "plan": "TEAM", "definition": {"name": "TEAM", "price": "30", "features": {"chat": {"type": "BOOLEAN", "value": false}}, "usageLimits": {"seats": "25"}}}
+{"kind": "PlanRemoved", "plan": "LEGACY"}
+{"kind": "PlanPriceChanged", "plan": "PRO", "old": "10", "new": "12.50"}
+{"kind": "PlanFeatureValueChanged", "plan": "FREE", "feature": "motto", "old": {"type": "TEXT", "value": "basic"}, "new": {"type": "TEXT", "value": "yes"}}
+{"kind": "PlanFeatureValueChanged", "plan": "FREE", "feature": "sso", "old": {"type": "BOOLEAN", "value": false}, "new": {"type": "NUMERIC", "value": "0"}}
+{"kind": "PlanFeatureValueChanged", "plan": "FREE", "feature": "storage", "old": {"type": "NUMERIC", "value": "5"}, "new": {"type": "NUMERIC", "value": "10"}}
+{"kind": "PlanFeatureValueChanged", "plan": "PRO", "feature": "motto", "old": {"type": "TEXT", "value": "pro"}, "new": {"type": "TEXT", "value": "pro: plus"}}
+{"kind": "PlanFeatureValueChanged", "plan": "PRO", "feature": "reports", "old": null, "new": {"type": "NUMERIC", "value": "7"}}
+{"kind": "PlanFeatureValueChanged", "plan": "PRO", "feature": "sso", "old": {"type": "BOOLEAN", "value": true}, "new": {"type": "NUMERIC", "value": "3"}}
+{"kind": "AddOnAdded", "addOn": "vault", "definition": {"name": "vault", "price": "0.5", "availableFor": [], "features": {"storage": {"type": "NUMERIC", "value": "1000"}}, "usageLimitExtensions": {"seats": "2"}}}
+{"kind": "AddOnRemoved", "addOn": "retired"}
+{"kind": "AddOnPriceChanged", "addOn": "boost", "old": "2", "new": "3"}
+{"kind": "AddOnAvailabilityChanged", "addOn": "boost", "old": ["PRO"], "new": ["PRO", "TEAM"]}
+{"kind": "AddOnGrantChanged", "addOn": "boost", "feature": "chat", "old": null, "new": {"type": "BOOLEAN", "value": true}}
+{"kind": "AddOnGrantChanged", "addOn": "boost", "feature": "motto", "old": {"type": "TEXT", "value": "boosted"}, "new": {"type": "TEXT", "value": "100"}}
+{"kind": "AddOnExtensionChanged", "addOn": "boost", "limit": "apiCalls", "old": null, "new": "5"}
+{"kind": "AddOnExtensionChanged", "addOn": "boost", "limit": "messages", "old": "500", "new": null}
+{"kind": "MetadataChanged", "field": "billingPeriod", "old": {"value": 1, "unit": "MONTH"}, "new": {"value": 1, "unit": "YEAR"}}
+{"kind": "MetadataChanged", "field": "currency", "old": "USD", "new": "EUR"}
+{"kind": "MetadataChanged", "field": "saasName", "old": "Acme", "new": "Acme Corp"}
+{"kind": "MetadataChanged", "field": "version", "old": "1.0", "new": "2.0"}
+"""
+
+RICH = """\
+saasName: "Café €"
+version: "3"
+currency: GBP
+billingPeriod:
+  value: 3
+  unit: MONTH
+features:
+  notes:
+    description: "Take notes: fast"
+    type: DOMAIN
+  pins:
+    type: DOMAIN
+    defaultValue: true
+  quota:
+    description: Storage quota
+    type: MANAGEMENT
+    valueType: NUMERIC
+  depth:
+    type: AUTOMATION
+    valueType: NUMERIC
+    defaultValue: 0.50
+  tagline:
+    type: INFORMATION
+    valueType: TEXT
+  badge:
+    type: GUARANTEE
+    valueType: TEXT
+    defaultValue: "null"
+  slogan:
+    type: PAYMENT
+    valueType: TEXT
+    defaultValue: "say \\"hi\\"\\t\\U0001F600"
+usageLimits:
+  uploads:
+    description: Uploads per day
+    type: RENEWABLE
+    metric: file
+    period: {value: 1, unit: DAY}
+    defaultValue: 10
+    linkedFeatures: [pins, notes]
+  archive:
+    type: NON_RENEWABLE
+    metric: "GB "
+    defaultValue: 0
+plans:
+  FREE:
+    price: 0.00
+  PRO:
+    price: 9.99
+    features:
+      pins: {value: false}
+      tagline: {value: "true"}
+      depth: {value: 0.5}
+      quota: {value: 100}
+    usageLimits:
+      uploads: {value: 10}
+      archive: {value: 1e2}
+addOns:
+  more:
+    price: 1
+    availableFor: [PRO, FREE]
+    features:
+      tagline: {value: plain words}
+      quota: {value: 5}
+    usageLimitExtensions:
+      archive: {value: 50}
+  solo:
+    price: 2
+    usageLimitExtensions:
+      uploads: {value: 1}
+"""
+
+RICH_CANONICAL = r"""saasName: "Caf\xE9 \u20AC"
+version: "3"
+currency: GBP
+billingPeriod:
+  value: 3
+  unit: MONTH
+features:
+  notes:
+    description: "Take notes: fast"
+    type: DOMAIN
+  pins:
+    type: DOMAIN
+    defaultValue: true
+  quota:
+    description: Storage quota
+    type: MANAGEMENT
+    valueType: NUMERIC
+  depth:
+    type: AUTOMATION
+    valueType: NUMERIC
+    defaultValue: 0.50
+  tagline:
+    type: INFORMATION
+    valueType: TEXT
+  badge:
+    type: GUARANTEE
+    valueType: TEXT
+    defaultValue: "null"
+  slogan:
+    type: PAYMENT
+    valueType: TEXT
+    defaultValue: "say \"hi\"\t\U0001F600"
+usageLimits:
+  uploads:
+    description: Uploads per day
+    type: RENEWABLE
+    metric: file
+    period:
+      value: 1
+      unit: DAY
+    defaultValue: 10
+    linkedFeatures: [notes, pins]
+  archive:
+    type: NON_RENEWABLE
+    metric: "GB "
+    defaultValue: 0
+plans:
+  FREE:
+    price: 0.00
+  PRO:
+    price: 9.99
+    features:
+      pins:
+        value: false
+      quota:
+        value: 100
+      tagline:
+        value: "true"
+    usageLimits:
+      archive:
+        value: 100
+addOns:
+  more:
+    price: 1
+    availableFor: [FREE, PRO]
+    features:
+      quota:
+        value: 5
+      tagline:
+        value: plain words
+    usageLimitExtensions:
+      archive:
+        value: 50
+  solo:
+    price: 2
+    usageLimitExtensions:
+      uploads:
+        value: 1
+"""
+
+BARE = """\
+saasName: Bare
+version: v1
+currency: USD
+billingPeriod: {value: 1, unit: WEEK}
+features: {}
+plans:
+  ONLY: {price: 0}
+"""
+
+BARE_CANONICAL = """\
+saasName: Bare
+version: v1
+currency: USD
+billingPeriod:
+  value: 1
+  unit: WEEK
+features: {}
+plans:
+  ONLY:
+    price: 0
+"""
+
+
+def test_diff_json_lines_cover_every_kind_byte_for_byte():
+    changes = diff(parse(OLD), parse(NEW))
+    assert {change.kind for change in changes} == set(ChangeKind)
+    assert changes.to_json_lines() == DIFF_LINES
+
+
+def test_serialize_takes_every_omit_and_quote_branch_byte_for_byte():
+    assert serialize(parse(RICH)) == RICH_CANONICAL
+    assert serialize(parse(BARE)) == BARE_CANONICAL
+    assert serialize(parse(RICH_CANONICAL)) == RICH_CANONICAL
