@@ -45,7 +45,7 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import Pricing, pricing_stats
+from .model import MAX_EXPONENT, Pricing, exponent_in_range, pricing_stats
 from .subscriptions import (
     Subscription,
     create_subscription,
@@ -228,6 +228,9 @@ def cmd_consume(args) -> int:
         amount = Decimal(args.amount)
     except InvalidOperation:
         raise _Fail(ExitCode.USAGE, f"error: --amount must be a number, got {args.amount!r}") from None
+    if amount.is_finite() and not exponent_in_range(amount):
+        raise _Fail(ExitCode.USAGE, f"error: --amount exponent must lie within "
+                                    f"-{MAX_EXPONENT}..{MAX_EXPONENT}, got {args.amount!r}")
     now = _parse_at(args.at, fallback=format_instant(subscription.start_instant))
     try:
         updated = record_usage(pricing, subscription, args.limit, amount, now)

@@ -47,6 +47,18 @@ __all__ = [
 
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
+# The widest exponent a number may carry, either way: the power of ten of
+# its last digit (1e3 has 3, 2.50 has -2). Fixed-point text writes out every
+# zero an exponent stands for, so 1e999999999 would take a gigabyte; numbers
+# past this bound are refused where they enter: documents, state files and
+# the command line.
+MAX_EXPONENT = 1000
+
+
+def exponent_in_range(value: Decimal) -> bool:
+    """Whether a finite number's exponent lies within +-``MAX_EXPONENT``."""
+    return -MAX_EXPONENT <= value.as_tuple().exponent <= MAX_EXPONENT
+
 
 class _FrozenDict(dict):
     """A dict that refuses every change after construction.

@@ -31,7 +31,7 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import FeatureValue, Plan, Pricing, value_to_json
+from .model import MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, value_to_json
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -406,6 +406,9 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
             raise ValueError(f"usage entry for {name!r} has a bad counter") from None
         if not used.is_finite() or used < 0:
             raise ValueError(f"usage entry for {name!r} has a bad counter")
+        if not exponent_in_range(used):
+            raise ValueError(f"usage entry for {name!r} has a counter exponent "
+                             f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
         if limit.period is not None:
             index = entry.get("windowIndex")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:

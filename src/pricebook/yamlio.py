@@ -36,8 +36,10 @@ from .model import (
     Plan,
     Pricing,
     UsageLimit,
+    MAX_EXPONENT,
     ValueKind,
     default_value_for,
+    exponent_in_range,
 )
 from .periods import Period, PeriodUnit
 
@@ -50,6 +52,8 @@ _CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
 _TRUE_WORDS = frozenset({"true", "True", "TRUE"})
 _FALSE_WORDS = frozenset({"false", "False", "FALSE"})
 _NULL_WORDS = frozenset({"", "~", "null", "Null", "NULL"})
+
+_EXPONENT_MESSAGE = f"expected a number whose exponent lies within -{MAX_EXPONENT}..{MAX_EXPONENT}"
 
 
 class ErrorKind(Enum):
@@ -271,6 +275,9 @@ class _Reader:
         if kind != "num":
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number")
             return None
+        if not exponent_in_range(value):
+            self.err(node, path, ErrorKind.TYPE_MISMATCH, _EXPONENT_MESSAGE)
+            return None
         if positive and value <= 0:
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number > 0")
             return None
@@ -317,6 +324,9 @@ class _Reader:
         if declared is ValueKind.NUMERIC:
             if kind != "num" or value < 0:
                 self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number >= 0")
+                return None
+            if not exponent_in_range(value):
+                self.err(node, path, ErrorKind.TYPE_MISMATCH, _EXPONENT_MESSAGE)
                 return None
             return FeatureValue.numeric(value)
         if kind != "str":

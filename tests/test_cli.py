@@ -63,6 +63,14 @@ class TestValidate:
         assert code == 2
         assert "broken.yml:" in err
 
+    def test_number_exponent_out_of_range_exit_2(self, capsys, tmp_path, zoom_text):
+        bad = tmp_path / "huge.yml"
+        bad.write_text(zoom_text.replace("price: 15.99", "price: 1e999999999", 1),
+                       encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert "plans.PRO.price: TYPE_MISMATCH" in err and "exponent" in err
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "validate", "does_not_exist.yml")
         assert code == 3
@@ -150,6 +158,16 @@ class TestConsume:
         state = json.loads(open(state_file).read())
         entry = state["usage"]["maxAssistantsPerMeeting"]
         assert entry == {"used": "1", "windowStart": "2024-02-29T12:00:00Z", "windowIndex": 1}
+
+    def test_amount_exponent_out_of_range_exit_3(self, capsys, zoom_file, state_file):
+        before = open(state_file, "rb").read()
+        for amount in ("1e1001", "1e-1001", "1e999999999", "1e-999999999"):
+            code, out, err = run(capsys, "consume", zoom_file, "--subscription", state_file,
+                                 "--limit", "maxAssistantsPerMeeting", "--amount", amount,
+                                 "--at", "2024-02-01T00:00:00Z")
+            assert (code, out) == (3, "")
+            assert err.startswith("error: --amount") and "exponent" in err
+        assert open(state_file, "rb").read() == before
 
     def test_malformed_state_exit_3(self, capsys, zoom_file, tmp_path):
         bad = tmp_path / "state.json"

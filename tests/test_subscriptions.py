@@ -425,6 +425,15 @@ class TestStatePersistence:
         with pytest.raises(ValueError):
             subscription_from_json(other, text)
 
+    def test_counter_exponent_out_of_range_is_a_value_error(self, zoom, pro):
+        text = subscription_to_json(zoom, pro)
+        for used in ("1e1001", "1e-1001", "1e999999999", "1e-999999999"):
+            with pytest.raises(ValueError, match="exponent"):
+                subscription_from_json(zoom, text.replace('"used": "0"', f'"used": "{used}"', 1))
+        for used in ("1e1000", "1e-1000"):
+            again = subscription_from_json(zoom, text.replace('"used": "0"', f'"used": "{used}"', 1))
+            assert Decimal(used) in [state.used for state in again.usage.values()]
+
     def test_malformed_state_rejected(self, zoom):
         with pytest.raises(ValueError):
             subscription_from_json(zoom, "{}")

@@ -5,6 +5,7 @@ These tests run under the default loader, libyaml when PyYAML has it;
 """
 
 import random
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, settings
@@ -192,6 +193,48 @@ features: {}
     errs = errors_of(doc)
     assert [e.kind for e in errs] == [ErrorKind.MISSING_REQUIRED]
     assert errs[0].path == "plans"
+
+
+BOUNDED_DOC = """saasName: A
+version: "1"
+currency: USD
+billingPeriod:
+  value: 1
+  unit: MONTH
+features:
+  f:
+    type: DOMAIN
+    valueType: NUMERIC
+    defaultValue: {number}
+usageLimits:
+  l:
+    type: NON_RENEWABLE
+    metric: m
+    defaultValue: {number}
+plans:
+  P:
+    price: {number}
+addOns:
+  A:
+    price: 1
+    features:
+      f: {{value: 1}}
+    usageLimitExtensions:
+      l: {{value: {number}}}
+"""
+
+
+def test_number_exponent_out_of_range_is_a_located_type_mismatch():
+    # Fixed-point text of 1e999999999 would take a gigabyte, so such
+    # numbers are refused where they are read.
+    paths = ["features.f.defaultValue", "usageLimits.l.defaultValue", "plans.P.price",
+             "addOns.A.usageLimitExtensions.l.value"]
+    for number in ("1e1001", "1e-1001", "1e999999999", "1e-999999999", "0.1e-1000"):
+        errs = errors_of(BOUNDED_DOC.format(number=number))
+        assert [(e.path, e.kind) for e in errs] == [(p, ErrorKind.TYPE_MISMATCH) for p in paths]
+        assert all("exponent" in e.message for e in errs)
+    for number in ("1e1000", "1e-1000", "12.5e998"):
+        assert parse(BOUNDED_DOC.format(number=number)).plans["P"].price == Decimal(number)
 
 
 def test_zoom_round_trip(zoom, zoom_text):
