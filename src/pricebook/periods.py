@@ -37,7 +37,6 @@ _CANONICAL_DAYS = {
     PeriodUnit.YEAR: 365,
 }
 
-_SECONDS = {PeriodUnit.DAY: 86400, PeriodUnit.WEEK: 7 * 86400}
 
 # December 9999, the last month a datetime can name, as year * 12 + month - 1.
 _LAST_MONTH = MAXYEAR * 12 + 11
@@ -62,6 +61,19 @@ class Period:
         return self.value * _CANONICAL_DAYS[self.unit]
 
 
+def _span_seconds(period: Period) -> int:
+    """Length in seconds of a period of days or weeks; 0 for months and years.
+
+    Identity tests, not a dict keyed by unit: hashing an ``Enum`` member
+    runs Python-level code, and the metering path asks this on every window.
+    """
+    if period.unit is PeriodUnit.DAY:
+        return 86400 * period.value
+    if period.unit is PeriodUnit.WEEK:
+        return 7 * 86400 * period.value
+    return 0
+
+
 def _add_months(anchor: datetime, months: int) -> datetime:
     total = anchor.year * 12 + (anchor.month - 1) + months
     year, month_index = divmod(total, 12)
@@ -79,8 +91,9 @@ def advance(start: datetime, period: Period, count: int) -> datetime:
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    if period.unit in _SECONDS:
-        return start + timedelta(seconds=_SECONDS[period.unit] * period.value * count)
+    span = _span_seconds(period)
+    if span:
+        return start + timedelta(seconds=span * count)
     months_per = period.value * (12 if period.unit is PeriodUnit.YEAR else 1)
     return _add_months(start, months_per * count)
 
@@ -93,8 +106,8 @@ def latest_window_index(start: datetime, period: Period, now: datetime) -> int:
     """
     if now < start:
         raise ValueError("now precedes start")
-    if period.unit in _SECONDS:
-        span = _SECONDS[period.unit] * period.value
+    span = _span_seconds(period)
+    if span:
         return int((now - start).total_seconds() // span)
     months_per = period.value * (12 if period.unit is PeriodUnit.YEAR else 1)
     elapsed_months = (now.year - start.year) * 12 + (now.month - start.month)
@@ -118,9 +131,9 @@ def window_started(start: datetime, period: Period, index: int, now: datetime) -
     month numbers, as long as both instants carry the same ``tzinfo`` and
     so read the same wall clock.
     """
-    if period.unit in _SECONDS:
+    span = _span_seconds(period)
+    if span:
         elapsed = now - start
-        span = _SECONDS[period.unit] * period.value
         return elapsed.days * 86400 + elapsed.seconds >= span * (index + 1)
     months_per = period.value * (12 if period.unit is PeriodUnit.YEAR else 1)
     month = start.year * 12 + start.month - 1 + months_per * (index + 1)
