@@ -9,8 +9,10 @@ reconstruct the new document from the old one.
 
 An empty change list means the two pricings are equal after
 canonicalization, so the change kinds cover every field of the model,
-including metadata. Output order is deterministic: by change kind, then
-by subject names.
+including metadata: ``diff`` walks the field table ``model.FIELDS``, which
+names the change kind of each field, and reports values and definitions
+in the table's JSON form (``model.to_json``). Output order is
+deterministic: by change kind, then by subject names.
 """
 
 from __future__ import annotations
@@ -18,56 +20,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
-from enum import Enum
 
 from .errors import UnknownPlanError
-from .model import (
-    AddOn,
-    Feature,
-    FeatureValue,
-    Plan,
-    Pricing,
-    UsageLimit,
-    add_on_to_json,
-    feature_to_json,
-    limit_to_json,
-    period_to_json,
-    plan_to_json,
-    resolve_plan,
-    value_to_json,
-)
-from .periods import Period
+from .model import FIELDS, ChangeKind, Plan, Pricing, to_json
 from .subscriptions import Subscription
 
 __all__ = ["ChangeKind", "Change", "ChangeSet", "diff", "impact"]
-
-
-class ChangeKind(Enum):
-    FEATURE_ADDED = "FeatureAdded"
-    FEATURE_REMOVED = "FeatureRemoved"
-    FEATURE_TYPE_CHANGED = "FeatureTypeChanged"
-    FEATURE_VALUE_TYPE_CHANGED = "FeatureValueTypeChanged"
-    FEATURE_DESCRIPTION_CHANGED = "FeatureDescriptionChanged"
-    FEATURE_DEFAULT_CHANGED = "FeatureDefaultChanged"
-    LIMIT_ADDED = "LimitAdded"
-    LIMIT_REMOVED = "LimitRemoved"
-    LIMIT_KIND_CHANGED = "LimitKindChanged"
-    LIMIT_METRIC_CHANGED = "LimitMetricChanged"
-    LIMIT_PERIOD_CHANGED = "LimitPeriodChanged"
-    LIMIT_DESCRIPTION_CHANGED = "LimitDescriptionChanged"
-    LIMIT_LINKED_FEATURES_CHANGED = "LimitLinkedFeaturesChanged"
-    LIMIT_THRESHOLD_CHANGED = "LimitThresholdChanged"
-    PLAN_ADDED = "PlanAdded"
-    PLAN_REMOVED = "PlanRemoved"
-    PLAN_PRICE_CHANGED = "PlanPriceChanged"
-    PLAN_FEATURE_VALUE_CHANGED = "PlanFeatureValueChanged"
-    ADD_ON_ADDED = "AddOnAdded"
-    ADD_ON_REMOVED = "AddOnRemoved"
-    ADD_ON_PRICE_CHANGED = "AddOnPriceChanged"
-    ADD_ON_AVAILABILITY_CHANGED = "AddOnAvailabilityChanged"
-    ADD_ON_GRANT_CHANGED = "AddOnGrantChanged"
-    ADD_ON_EXTENSION_CHANGED = "AddOnExtensionChanged"
-    METADATA_CHANGED = "MetadataChanged"
 
 
 _KIND_ORDER = {kind: index for index, kind in enumerate(ChangeKind)}
@@ -95,22 +53,6 @@ def _subject_fields(kind: ChangeKind) -> tuple[str, ...]:
     return ("addOn",)
 
 
-def _encode(value):
-    if value is None or isinstance(value, (bool, str, int)):
-        return value
-    if isinstance(value, Decimal):
-        return format(value, "f")
-    if isinstance(value, FeatureValue):
-        return value_to_json(value)
-    if isinstance(value, Period):
-        return period_to_json(value)
-    if isinstance(value, Enum):
-        return value.value
-    if isinstance(value, (list, tuple)):
-        return [_encode(item) for item in value]
-    raise TypeError(f"cannot encode {value!r}")
-
-
 @dataclass(frozen=True)
 class Change:
     kind: ChangeKind
@@ -129,8 +71,8 @@ class Change:
         if self.definition is not None:
             out["definition"] = self.definition
         if self.kind.name.endswith("_CHANGED"):
-            out["old"] = _encode(self.old)
-            out["new"] = _encode(self.new)
+            out["old"] = to_json(self.old)
+            out["new"] = to_json(self.new)
         return out
 
 
@@ -153,135 +95,59 @@ class ChangeSet:
         return "\n".join(json.dumps(c.to_dict()) for c in self.changes) + "\n"
 
 
+# Pricing attribute of each catalog, by key: a plan's map overrides the
+# catalog of the same key.
+_CATALOG_ATTR = {key: attr for key, attr, _, _ in FIELDS[Pricing]}
+
+
 def diff(old: Pricing, new: Pricing) -> ChangeSet:
     """Field-level change list taking ``old`` to ``new``; empty iff equal."""
     changes: list[Change] = []
     add = changes.append
-
-    for field_name, o, n in (
-        ("saasName", old.saas_name, new.saas_name),
-        ("version", old.version, new.version),
-        ("currency", old.currency, new.currency),
-        ("billingPeriod", old.billing_period, new.billing_period),
-    ):
-        if o != n:
-            add(Change(ChangeKind.METADATA_CHANGED, (field_name,), o, n))
-
-    _diff_features(old, new, add)
-    _diff_limits(old, new, add)
-    _diff_plans(old, new, add)
-    _diff_add_ons(old, new, add)
-
+    for key, attr, kind, _ in FIELDS[Pricing]:
+        before, after = getattr(old, attr), getattr(new, attr)
+        if not isinstance(after, dict):
+            if before != after:
+                add(Change(kind, (key,), before, after))
+            continue
+        added, removed = kind
+        for name in before:
+            if name not in after:
+                add(Change(removed, (name,)))
+        for name, entry in after.items():
+            if name not in before:
+                add(Change(added, (name,), definition=to_json(entry)))
+            else:
+                _diff_entry(old, new, name, before[name], entry, add)
     changes.sort(key=Change.sort_key)
     return ChangeSet(tuple(changes))
 
 
-def _diff_features(old: Pricing, new: Pricing, add) -> None:
-    for name in old.features:
-        if name not in new.features:
-            add(Change(ChangeKind.FEATURE_REMOVED, (name,)))
-    for name, feature in new.features.items():
-        if name not in old.features:
-            add(Change(ChangeKind.FEATURE_ADDED, (name,), definition=feature_to_json(feature)))
-            continue
-        before: Feature = old.features[name]
-        if before.feature_type is not feature.feature_type:
-            add(Change(ChangeKind.FEATURE_TYPE_CHANGED, (name,),
-                       before.feature_type, feature.feature_type))
-        if before.value_kind is not feature.value_kind:
-            add(Change(ChangeKind.FEATURE_VALUE_TYPE_CHANGED, (name,),
-                       before.value_kind, feature.value_kind))
-        if before.description != feature.description:
-            add(Change(ChangeKind.FEATURE_DESCRIPTION_CHANGED, (name,),
-                       before.description, feature.description))
-        if before.default_value != feature.default_value:
-            add(Change(ChangeKind.FEATURE_DEFAULT_CHANGED, (name,),
-                       before.default_value, feature.default_value))
-
-
-def _diff_limits(old: Pricing, new: Pricing, add) -> None:
-    for name in old.usage_limits:
-        if name not in new.usage_limits:
-            add(Change(ChangeKind.LIMIT_REMOVED, (name,)))
-    for name, limit in new.usage_limits.items():
-        if name not in old.usage_limits:
-            add(Change(ChangeKind.LIMIT_ADDED, (name,), definition=limit_to_json(limit)))
-            continue
-        before: UsageLimit = old.usage_limits[name]
-        if before.kind is not limit.kind:
-            add(Change(ChangeKind.LIMIT_KIND_CHANGED, (name,), before.kind, limit.kind))
-        if before.metric != limit.metric:
-            add(Change(ChangeKind.LIMIT_METRIC_CHANGED, (name,), before.metric, limit.metric))
-        if before.period != limit.period:
-            add(Change(ChangeKind.LIMIT_PERIOD_CHANGED, (name,), before.period, limit.period))
-        if before.description != limit.description:
-            add(Change(ChangeKind.LIMIT_DESCRIPTION_CHANGED, (name,),
-                       before.description, limit.description))
-        if before.linked_features != limit.linked_features:
-            add(Change(ChangeKind.LIMIT_LINKED_FEATURES_CHANGED, (name,),
-                       before.linked_features, limit.linked_features))
-        if before.default_value != limit.default_value:
-            add(Change(ChangeKind.LIMIT_THRESHOLD_CHANGED, ("default", name),
-                       before.default_value, limit.default_value))
-
-
-def _diff_plans(old: Pricing, new: Pricing, add) -> None:
-    for name in old.plans:
-        if name not in new.plans:
-            add(Change(ChangeKind.PLAN_REMOVED, (name,)))
-    for name, plan in new.plans.items():
-        if name not in old.plans:
-            add(Change(ChangeKind.PLAN_ADDED, (name,), definition=plan_to_json(plan)))
-            continue
-        before: Plan = old.plans[name]
-        if before.price != plan.price:
-            add(Change(ChangeKind.PLAN_PRICE_CHANGED, (name,), before.price, plan.price))
-        resolved_old = resolve_plan(old, name)
-        resolved_new = resolve_plan(new, name)
-        for feature in new.features:
-            if feature in old.features:
-                o = resolved_old.feature_values[feature]
-                n = resolved_new.feature_values[feature]
-                if o != n:
-                    add(Change(ChangeKind.PLAN_FEATURE_VALUE_CHANGED, (name, feature), o, n))
-            elif feature in plan.feature_overrides:
-                add(Change(ChangeKind.PLAN_FEATURE_VALUE_CHANGED, (name, feature),
-                           None, plan.feature_overrides[feature]))
-        for limit in new.usage_limits:
-            if limit in old.usage_limits:
-                o = resolved_old.limit_values[limit]
-                n = resolved_new.limit_values[limit]
-                if o != n:
-                    add(Change(ChangeKind.LIMIT_THRESHOLD_CHANGED, (name, limit), o, n))
-            elif limit in plan.limit_overrides:
-                add(Change(ChangeKind.LIMIT_THRESHOLD_CHANGED, (name, limit),
-                           None, plan.limit_overrides[limit]))
-
-
-def _diff_add_ons(old: Pricing, new: Pricing, add) -> None:
-    for name in old.add_ons:
-        if name not in new.add_ons:
-            add(Change(ChangeKind.ADD_ON_REMOVED, (name,)))
-    for name, add_on in new.add_ons.items():
-        if name not in old.add_ons:
-            add(Change(ChangeKind.ADD_ON_ADDED, (name,), definition=add_on_to_json(add_on)))
-            continue
-        before: AddOn = old.add_ons[name]
-        if before.price != add_on.price:
-            add(Change(ChangeKind.ADD_ON_PRICE_CHANGED, (name,), before.price, add_on.price))
-        if before.available_for != add_on.available_for:
-            add(Change(ChangeKind.ADD_ON_AVAILABILITY_CHANGED, (name,),
-                       before.available_for, add_on.available_for))
-        for feature in sorted(set(before.feature_grants) | set(add_on.feature_grants)):
-            o = before.feature_grants.get(feature)
-            n = add_on.feature_grants.get(feature)
+def _diff_entry(old: Pricing, new: Pricing, name: str, before, after, add) -> None:
+    for key, attr, kind, _ in FIELDS[type(after)]:
+        o, n = getattr(before, attr), getattr(after, attr)
+        if not isinstance(n, dict):
             if o != n:
-                add(Change(ChangeKind.ADD_ON_GRANT_CHANGED, (name, feature), o, n))
-        for limit in sorted(set(before.limit_extensions) | set(add_on.limit_extensions)):
-            o = before.limit_extensions.get(limit)
-            n = add_on.limit_extensions.get(limit)
-            if o != n:
-                add(Change(ChangeKind.ADD_ON_EXTENSION_CHANGED, (name, limit), o, n))
+                # A catalog threshold is the "default" scope; plans are the others.
+                scope = ("default",) if kind is ChangeKind.LIMIT_THRESHOLD_CHANGED else ()
+                add(Change(kind, (*scope, name), o, n))
+        elif type(after) is Plan:
+            # Compare what the plan resolves to, override else catalog default.
+            catalog = _CATALOG_ATTR[key]
+            old_catalog, new_catalog = getattr(old, catalog), getattr(new, catalog)
+            for ref, entry in new_catalog.items():
+                if ref in old_catalog:
+                    ov = o.get(ref, old_catalog[ref].default_value)
+                    nv = n.get(ref, entry.default_value)
+                    if ov != nv:
+                        add(Change(kind, (name, ref), ov, nv))
+                elif ref in n:
+                    add(Change(kind, (name, ref), None, n[ref]))
+        else:
+            for ref in o.keys() | n.keys():
+                ov, nv = o.get(ref), n.get(ref)
+                if ov != nv:
+                    add(Change(kind, (name, ref), ov, nv))
 
 
 def _definition_truthy(definition: dict) -> bool:

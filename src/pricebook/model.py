@@ -23,9 +23,11 @@ from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
+from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ModelError, NoPlansError, UnknownPlanError
-from .periods import Period
+from .periods import Period, PeriodUnit
 
 __all__ = [
     "FeatureType",
@@ -101,6 +103,36 @@ class LimitKind(Enum):
     NON_RENEWABLE = "NON_RENEWABLE"
     RESPONSE_DRIVEN = "RESPONSE_DRIVEN"
     TIME_DRIVEN = "TIME_DRIVEN"
+
+
+class ChangeKind(Enum):
+    """What ``changes.diff`` reports; ``FIELDS`` names the kind of each field."""
+
+    FEATURE_ADDED = "FeatureAdded"
+    FEATURE_REMOVED = "FeatureRemoved"
+    FEATURE_TYPE_CHANGED = "FeatureTypeChanged"
+    FEATURE_VALUE_TYPE_CHANGED = "FeatureValueTypeChanged"
+    FEATURE_DESCRIPTION_CHANGED = "FeatureDescriptionChanged"
+    FEATURE_DEFAULT_CHANGED = "FeatureDefaultChanged"
+    LIMIT_ADDED = "LimitAdded"
+    LIMIT_REMOVED = "LimitRemoved"
+    LIMIT_KIND_CHANGED = "LimitKindChanged"
+    LIMIT_METRIC_CHANGED = "LimitMetricChanged"
+    LIMIT_PERIOD_CHANGED = "LimitPeriodChanged"
+    LIMIT_DESCRIPTION_CHANGED = "LimitDescriptionChanged"
+    LIMIT_LINKED_FEATURES_CHANGED = "LimitLinkedFeaturesChanged"
+    LIMIT_THRESHOLD_CHANGED = "LimitThresholdChanged"
+    PLAN_ADDED = "PlanAdded"
+    PLAN_REMOVED = "PlanRemoved"
+    PLAN_PRICE_CHANGED = "PlanPriceChanged"
+    PLAN_FEATURE_VALUE_CHANGED = "PlanFeatureValueChanged"
+    ADD_ON_ADDED = "AddOnAdded"
+    ADD_ON_REMOVED = "AddOnRemoved"
+    ADD_ON_PRICE_CHANGED = "AddOnPriceChanged"
+    ADD_ON_AVAILABILITY_CHANGED = "AddOnAvailabilityChanged"
+    ADD_ON_GRANT_CHANGED = "AddOnGrantChanged"
+    ADD_ON_EXTENSION_CHANGED = "AddOnExtensionChanged"
+    METADATA_CHANGED = "MetadataChanged"
 
 
 @dataclass(frozen=True)
@@ -553,55 +585,106 @@ def _check_amount(value: Decimal, what: str) -> None:
         raise ModelError(f"{what} must be finite and >= 0, got {value}")
 
 
-# Plain-data views used by the diff engine and the CLI's JSON output.
-
-def value_to_json(value: FeatureValue) -> dict:
-    payload = format(value.value, "f") if value.kind is ValueKind.NUMERIC else value.value
-    return {"type": value.kind.value, "value": payload}
+# -- the dialect's field table -----------------------------------------------
 
 
-def period_to_json(period: Period | None) -> dict | None:
-    if period is None:
-        return None
-    return {"value": period.value, "unit": period.unit.value}
+class Field(NamedTuple):
+    """One field of an entity: its document and JSON key, the model
+    attribute that holds it, the change kind ``diff`` reports when it
+    differs ((added, removed) for a catalog of entries), and the values
+    ``serialize`` leaves out, its schema default (none: always written)."""
+
+    key: str
+    attr: str
+    change: object = None
+    omit: tuple = ()
 
 
-def feature_to_json(feature: Feature) -> dict:
-    return {
-        "name": feature.name,
-        "description": feature.description,
-        "type": feature.feature_type.value,
-        "valueType": feature.value_kind.value,
-        "defaultValue": value_to_json(feature.default_value),
-    }
+_C = ChangeKind
+# Each entity's fields in canonical order: the order ``serialize`` writes
+# and the JSON views list them in, and the keys the parser accepts. A plan's
+# and an add-on's maps hold values by feature or limit name, each written
+# {value: ...} in a document; a plan's maps override the catalog of the
+# same key.
+FIELDS: dict[type, tuple[Field, ...]] = {
+    Pricing: (
+        Field("saasName", "saas_name", _C.METADATA_CHANGED),
+        Field("version", "version", _C.METADATA_CHANGED),
+        Field("currency", "currency", _C.METADATA_CHANGED),
+        Field("billingPeriod", "billing_period", _C.METADATA_CHANGED),
+        Field("features", "features", (_C.FEATURE_ADDED, _C.FEATURE_REMOVED)),
+        Field("usageLimits", "usage_limits", (_C.LIMIT_ADDED, _C.LIMIT_REMOVED), ({},)),
+        Field("plans", "plans", (_C.PLAN_ADDED, _C.PLAN_REMOVED), ({},)),
+        Field("addOns", "add_ons", (_C.ADD_ON_ADDED, _C.ADD_ON_REMOVED), ({},)),
+    ),
+    Feature: (
+        Field("description", "description", _C.FEATURE_DESCRIPTION_CHANGED, ("",)),
+        Field("type", "feature_type", _C.FEATURE_TYPE_CHANGED),
+        Field("valueType", "value_kind", _C.FEATURE_VALUE_TYPE_CHANGED, (ValueKind.BOOLEAN,)),
+        # a default value always has the feature's kind, so this omits the kind's default
+        Field("defaultValue", "default_value", _C.FEATURE_DEFAULT_CHANGED,
+              (_FALSE, _ZERO, _EMPTY_TEXT)),
+    ),
+    UsageLimit: (
+        Field("description", "description", _C.LIMIT_DESCRIPTION_CHANGED, ("",)),
+        Field("type", "kind", _C.LIMIT_KIND_CHANGED),
+        Field("metric", "metric", _C.LIMIT_METRIC_CHANGED),
+        Field("period", "period", _C.LIMIT_PERIOD_CHANGED, (None,)),
+        Field("defaultValue", "default_value", _C.LIMIT_THRESHOLD_CHANGED),
+        Field("linkedFeatures", "linked_features", _C.LIMIT_LINKED_FEATURES_CHANGED, ((),)),
+    ),
+    Plan: (
+        Field("price", "price", _C.PLAN_PRICE_CHANGED),
+        Field("features", "feature_overrides", _C.PLAN_FEATURE_VALUE_CHANGED, ({},)),
+        Field("usageLimits", "limit_overrides", _C.LIMIT_THRESHOLD_CHANGED, ({},)),
+    ),
+    AddOn: (
+        Field("price", "price", _C.ADD_ON_PRICE_CHANGED),
+        Field("availableFor", "available_for", _C.ADD_ON_AVAILABILITY_CHANGED, ((),)),
+        Field("features", "feature_grants", _C.ADD_ON_GRANT_CHANGED, ({},)),
+        Field("usageLimitExtensions", "limit_extensions", _C.ADD_ON_EXTENSION_CHANGED, ({},)),
+    ),
+    Period: (Field("value", "value"), Field("unit", "unit")),
+    FeatureValue: (Field("type", "kind"), Field("value", "value")),
+}
+WRAPPED_KEY = "value"  # the one key of the {value: ...} around each map value in a document
+del _C
 
 
-def limit_to_json(limit: UsageLimit) -> dict:
-    return {
-        "name": limit.name,
-        "description": limit.description,
-        "type": limit.kind.value,
-        "metric": limit.metric,
-        "period": period_to_json(limit.period),
-        "defaultValue": format(limit.default_value, "f"),
-        "linkedFeatures": list(limit.linked_features),
-    }
+def to_json(value):
+    """A model value as JSON data, the form diff lines and evaluation
+    results carry: numbers as fixed-point text, enums by value, entities
+    as objects keyed in ``FIELDS`` order, catalog entries led by their name."""
+    try:
+        encode = _TO_JSON[type(value)]
+    except KeyError:
+        raise TypeError(f"cannot encode {value!r}") from None
+    return encode(value)
 
 
-def plan_to_json(plan: Plan) -> dict:
-    return {
-        "name": plan.name,
-        "price": format(plan.price, "f"),
-        "features": {f: value_to_json(v) for f, v in plan.feature_overrides.items()},
-        "usageLimits": {l: format(v, "f") for l, v in plan.limit_overrides.items()},
-    }
+def _object(fields: tuple[Field, ...], named: bool = False):
+    def encode(value) -> dict:
+        out = {"name": value.name} if named else {}
+        for key, attr, _, _ in fields:
+            out[key] = to_json(getattr(value, attr))
+        return out
+
+    return encode
 
 
-def add_on_to_json(add_on: AddOn) -> dict:
-    return {
-        "name": add_on.name,
-        "price": format(add_on.price, "f"),
-        "availableFor": list(add_on.available_for),
-        "features": {f: value_to_json(v) for f, v in add_on.feature_grants.items()},
-        "usageLimitExtensions": {l: format(v, "f") for l, v in add_on.limit_extensions.items()},
-    }
+def _items(value: dict) -> dict:
+    return {key: to_json(item) for key, item in value.items()}
+
+
+def _list(value) -> list:
+    return [to_json(item) for item in value]
+
+
+_TO_JSON = {
+    **{kind: lambda value: value for kind in (type(None), bool, int, str)},
+    Decimal: lambda value: format(value, "f"),
+    tuple: _list, list: _list, dict: _items, _FrozenDict: _items,
+    **{enum: attrgetter("value") for enum in (FeatureType, ValueKind, LimitKind, PeriodUnit)},
+    Period: _object(FIELDS[Period]), FeatureValue: _object(FIELDS[FeatureValue]),
+    **{entry: _object(FIELDS[entry], named=True) for entry in (Feature, UsageLimit, Plan, AddOn)},
+}

@@ -31,7 +31,7 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, value_to_json
+from .model import MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, to_json
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -100,7 +100,7 @@ class EvaluationResult:
         return {
             "feature": self.feature,
             "enabled": self.enabled,
-            "value": value_to_json(self.value),
+            "value": to_json(self.value),
             "limits": [status.to_dict() for status in self.limits],
         }
 
@@ -349,10 +349,7 @@ def subscription_to_state(pricing: Pricing, subscription: Subscription) -> dict:
         "plan": subscription.plan_name,
         "addOns": sorted(subscription.add_on_names),
         "startInstant": format_instant(subscription.start_instant),
-        "contractPeriod": {
-            "value": subscription.contract_period.value,
-            "unit": subscription.contract_period.unit.value,
-        },
+        "contractPeriod": to_json(subscription.contract_period),
         "usage": usage,
     }
 

@@ -10,9 +10,10 @@ collected and reported together with line, column, and document path.
 objects so that every error can point at its source location and so that
 numbers can be read as exact decimals from their literal text.
 
-``serialize`` emits the canonical form: fixed key order, catalog entries
-in declaration order, two-space indent, LF line endings, schema defaults
-omitted. ``serialize`` then ``parse`` is the identity on valid pricings,
+``serialize`` emits the canonical form: keys in the order of the field
+table ``model.FIELDS``, which also lists the keys the parser accepts,
+catalog entries in declaration order, two-space indent, LF line endings,
+the schema defaults the table names omitted. ``serialize`` then ``parse`` is the identity on valid pricings,
 and ``serialize(parse(...))`` is idempotent on documents.
 """
 
@@ -22,11 +23,14 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from operator import attrgetter
 
 import yaml
 
 from .errors import ModelError, PricebookError
 from .model import (
+    FIELDS,
+    WRAPPED_KEY,
     AddOn,
     Feature,
     FeatureType,
@@ -48,6 +52,9 @@ __all__ = ["ErrorKind", "ParseError", "DocumentError", "parse", "serialize"]
 _NUMBER_RE = re.compile(r"^[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 _INT_RE = re.compile(r"^[-+]?\d+$")
 _CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
+
+# The keys each entity accepts, from the field table.
+_KEYS = {entity: tuple(field.key for field in fields) for entity, fields in FIELDS.items()}
 
 _TRUE_WORDS = frozenset({"true", "True", "TRUE"})
 _FALSE_WORDS = frozenset({"false", "False", "FALSE"})
@@ -359,11 +366,7 @@ class _Reader:
     # -- document sections ----------------------------------------------
 
     def document(self, root) -> Pricing | None:
-        fields = self.fields(
-            root, "",
-            ("saasName", "version", "currency", "billingPeriod",
-             "features", "usageLimits", "plans", "addOns"),
-        )
+        fields = self.fields(root, "", _KEYS[Pricing])
         if fields is None:
             return None
 
@@ -426,7 +429,7 @@ class _Reader:
             return None
 
     def period(self, node, path: str) -> Period | None:
-        fields = self.fields(node, path, ("value", "unit"))
+        fields = self.fields(node, path, _KEYS[Period])
         if fields is None:
             return None
         value = unit = None
@@ -454,8 +457,7 @@ class _Reader:
             if not self.identifier_key(name, key_node, path):
                 continue
             kinds[name] = None
-            fields = self.fields(value_node, path,
-                                 ("description", "type", "valueType", "defaultValue"))
+            fields = self.fields(value_node, path, _KEYS[Feature])
             if fields is None:
                 continue
             description = ""
@@ -502,9 +504,7 @@ class _Reader:
                          f"{name!r} is already the name of a feature")
                 continue
             names.add(name)
-            fields = self.fields(value_node, path,
-                                 ("description", "type", "metric", "period",
-                                  "defaultValue", "linkedFeatures"))
+            fields = self.fields(value_node, path, _KEYS[UsageLimit])
             if fields is None:
                 continue
             description = ""
@@ -564,7 +564,7 @@ class _Reader:
 
     def value_wrapper(self, node, path: str):
         """The {value: ...} wrapper used by overrides, grants, and extensions."""
-        fields = self.fields(node, path, ("value",))
+        fields = self.fields(node, path, (WRAPPED_KEY,))
         if fields is None:
             return None
         if "value" not in fields:
@@ -584,7 +584,7 @@ class _Reader:
             if not self.identifier_key(name, key_node, path):
                 continue
             names.add(name)
-            fields = self.fields(value_node, path, ("price", "features", "usageLimits"))
+            fields = self.fields(value_node, path, _KEYS[Plan])
             if fields is None:
                 continue
             price = None
@@ -654,8 +654,7 @@ class _Reader:
             path = f"addOns.{name}"
             if not self.identifier_key(name, key_node, path):
                 continue
-            fields = self.fields(value_node, path,
-                                 ("price", "availableFor", "features", "usageLimitExtensions"))
+            fields = self.fields(value_node, path, _KEYS[AddOn])
             if fields is None:
                 continue
             price = None
@@ -737,88 +736,52 @@ def _fmt_decimal(value: Decimal) -> str:
 
 
 def _fmt_value(value: FeatureValue) -> str:
-    if value.kind is ValueKind.BOOLEAN:
-        return "true" if value.value else "false"
-    if value.kind is ValueKind.NUMERIC:
-        return _fmt_decimal(value.value)
-    return _fmt_str(value.value)
+    return _SCALAR_TEXT[type(value.value)](value.value)
+
+
+# The text of each value written on its key's line, by type.
+_SCALAR_TEXT = {
+    str: _fmt_str, Decimal: _fmt_decimal, int: str, FeatureValue: _fmt_value,
+    bool: lambda value: "true" if value else "false",
+    **{enum: attrgetter("value") for enum in (FeatureType, ValueKind, LimitKind, PeriodUnit)},
+}
 
 
 def serialize(pricing: Pricing) -> str:
     """Canonical document text for a valid pricing."""
     lines: list[str] = []
-    emit = lines.append
-    emit(f"saasName: {_fmt_str(pricing.saas_name)}")
-    emit(f"version: {_fmt_str(pricing.version)}")
-    emit(f"currency: {_fmt_str(pricing.currency)}")
-    emit("billingPeriod:")
-    emit(f"  value: {pricing.billing_period.value}")
-    emit(f"  unit: {pricing.billing_period.unit.value}")
-
-    if pricing.features:
-        emit("features:")
-        for feature in pricing.features.values():
-            emit(f"  {feature.name}:")
-            if feature.description:
-                emit(f"    description: {_fmt_str(feature.description)}")
-            emit(f"    type: {feature.feature_type.value}")
-            if feature.value_kind is not ValueKind.BOOLEAN:
-                emit(f"    valueType: {feature.value_kind.value}")
-            if feature.default_value != default_value_for(feature.value_kind):
-                emit(f"    defaultValue: {_fmt_value(feature.default_value)}")
-    else:
-        emit("features: {}")
-
-    if pricing.usage_limits:
-        emit("usageLimits:")
-        for limit in pricing.usage_limits.values():
-            emit(f"  {limit.name}:")
-            if limit.description:
-                emit(f"    description: {_fmt_str(limit.description)}")
-            emit(f"    type: {limit.kind.value}")
-            emit(f"    metric: {_fmt_str(limit.metric)}")
-            if limit.period is not None:
-                emit("    period:")
-                emit(f"      value: {limit.period.value}")
-                emit(f"      unit: {limit.period.unit.value}")
-            emit(f"    defaultValue: {_fmt_decimal(limit.default_value)}")
-            if limit.linked_features:
-                names = ", ".join(limit.linked_features)
-                emit(f"    linkedFeatures: [{names}]")
-
-    if pricing.plans:
-        emit("plans:")
-        for plan in pricing.plans.values():
-            emit(f"  {plan.name}:")
-            emit(f"    price: {_fmt_decimal(plan.price)}")
-            if plan.feature_overrides:
-                emit("    features:")
-                for ref, value in plan.feature_overrides.items():
-                    emit(f"      {ref}:")
-                    emit(f"        value: {_fmt_value(value)}")
-            if plan.limit_overrides:
-                emit("    usageLimits:")
-                for ref, value in plan.limit_overrides.items():
-                    emit(f"      {ref}:")
-                    emit(f"        value: {_fmt_decimal(value)}")
-
-    if pricing.add_ons:
-        emit("addOns:")
-        for add_on in pricing.add_ons.values():
-            emit(f"  {add_on.name}:")
-            emit(f"    price: {_fmt_decimal(add_on.price)}")
-            if add_on.available_for:
-                names = ", ".join(add_on.available_for)
-                emit(f"    availableFor: [{names}]")
-            if add_on.feature_grants:
-                emit("    features:")
-                for ref, value in add_on.feature_grants.items():
-                    emit(f"      {ref}:")
-                    emit(f"        value: {_fmt_value(value)}")
-            if add_on.limit_extensions:
-                emit("    usageLimitExtensions:")
-                for ref, value in add_on.limit_extensions.items():
-                    emit(f"      {ref}:")
-                    emit(f"        value: {_fmt_decimal(value)}")
-
+    _emit_fields(pricing, FIELDS[Pricing], "", lines)
     return "\n".join(lines) + "\n"
+
+
+def _emit_fields(entity, fields, pad: str, lines: list[str]) -> None:
+    append, text_of = lines.append, _SCALAR_TEXT.get
+    for key, attr, _, omit in fields:
+        value = getattr(entity, attr)
+        if value in omit:
+            continue
+        text = text_of(type(value))
+        if text is not None:
+            append(f"{pad}{key}: {text(value)}")
+        elif type(value) is tuple:
+            append(f"{pad}{key}: [{', '.join(value)}]")
+        elif type(value) is Period:
+            append(f"{pad}{key}:")
+            _emit_fields(value, FIELDS[Period], pad + "  ", lines)
+        elif not value:
+            append(f"{pad}{key}: {{}}")
+        else:  # a map of names to catalog entries, or to values written {value: ...}
+            append(f"{pad}{key}:")
+            inner = pad + "    "
+            first = next(iter(value.values()))  # the values of one map share a type
+            text = text_of(type(first))
+            if text is None:
+                entry_fields = FIELDS[type(first)]
+                for name, item in value.items():
+                    append(f"{pad}  {name}:")
+                    _emit_fields(item, entry_fields, inner, lines)
+            else:
+                wrapped = f"{inner}{WRAPPED_KEY}: "
+                for name, item in value.items():
+                    append(f"{pad}  {name}:")
+                    append(wrapped + text(item))
