@@ -50,16 +50,16 @@ __all__ = [
 IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # The widest exponent a number may carry, either way: the power of ten of
-# its last digit (1e3 has 3, 2.50 has -2). Fixed-point text writes out every
-# zero an exponent stands for, so 1e999999999 would take a gigabyte; numbers
-# past this bound are refused where they enter: documents, state files and
-# the command line.
+# its leading digit (1e3 and 1234 have 3, 0.05 has -2). Fixed-point text
+# writes out every zero an exponent stands for, so 1e999999999 would take a
+# gigabyte; numbers past this bound are refused where they enter: documents,
+# state files and the command line.
 MAX_EXPONENT = 1000
 
 
 def exponent_in_range(value: Decimal) -> bool:
     """Whether a finite number's exponent lies within +-``MAX_EXPONENT``."""
-    return -MAX_EXPONENT <= value.as_tuple().exponent <= MAX_EXPONENT
+    return -MAX_EXPONENT <= value.adjusted() <= MAX_EXPONENT
 
 
 class _FrozenDict(dict):
