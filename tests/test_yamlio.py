@@ -229,11 +229,11 @@ def test_number_exponent_out_of_range_is_a_located_type_mismatch():
     # numbers are refused where they are read.
     paths = ["features.f.defaultValue", "usageLimits.l.defaultValue", "plans.P.price",
              "addOns.A.usageLimitExtensions.l.value"]
-    for number in ("1e1001", "1e-1001", "1e999999999", "1e-999999999", "0.1e-1000"):
+    for number in ("1e1001", "1e-1001", "1e999999999", "1e-999999999", "0.1e-1000", "10e1000"):
         errs = errors_of(BOUNDED_DOC.format(number=number))
         assert [(e.path, e.kind) for e in errs] == [(p, ErrorKind.TYPE_MISMATCH) for p in paths]
         assert all("exponent" in e.message for e in errs)
-    for number in ("1e1000", "1e-1000", "12.5e998"):
+    for number in ("1e1000", "1e-1000", "12.5e998", "0.5e-999"):
         assert parse(BOUNDED_DOC.format(number=number)).plans["P"].price == Decimal(number)
 
 
