@@ -755,33 +755,26 @@ def serialize(pricing: Pricing) -> str:
 
 
 def _emit_fields(entity, fields, pad: str, lines: list[str]) -> None:
-    append, text_of = lines.append, _SCALAR_TEXT.get
     for key, attr, _, omit in fields:
         value = getattr(entity, attr)
         if value in omit:
             continue
-        text = text_of(type(value))
+        text = _SCALAR_TEXT.get(type(value))
         if text is not None:
-            append(f"{pad}{key}: {text(value)}")
+            lines.append(f"{pad}{key}: {text(value)}")
         elif type(value) is tuple:
-            append(f"{pad}{key}: [{', '.join(value)}]")
+            lines.append(f"{pad}{key}: [{', '.join(value)}]")
         elif type(value) is Period:
-            append(f"{pad}{key}:")
+            lines.append(f"{pad}{key}:")
             _emit_fields(value, FIELDS[Period], pad + "  ", lines)
         elif not value:
-            append(f"{pad}{key}: {{}}")
+            lines.append(f"{pad}{key}: {{}}")
         else:  # a map of names to catalog entries, or to values written {value: ...}
-            append(f"{pad}{key}:")
-            inner = pad + "    "
-            first = next(iter(value.values()))  # the values of one map share a type
-            text = text_of(type(first))
-            if text is None:
-                entry_fields = FIELDS[type(first)]
-                for name, item in value.items():
-                    append(f"{pad}  {name}:")
-                    _emit_fields(item, entry_fields, inner, lines)
-            else:
-                wrapped = f"{inner}{WRAPPED_KEY}: "
-                for name, item in value.items():
-                    append(f"{pad}  {name}:")
-                    append(wrapped + text(item))
+            lines.append(f"{pad}{key}:")
+            for name, item in value.items():
+                lines.append(f"{pad}  {name}:")
+                text = _SCALAR_TEXT.get(type(item))
+                if text is None:
+                    _emit_fields(item, FIELDS[type(item)], pad + "    ", lines)
+                else:
+                    lines.append(f"{pad}    {WRAPPED_KEY}: {text(item)}")
