@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import UnknownPlanError
-from .model import FIELDS, ChangeKind, Plan, Pricing, to_json
+from .model import FIELDS, ChangeKind, Plan, Pricing, to_json, truthy_in_plan
 from .subscriptions import Subscription
 
 __all__ = ["ChangeKind", "Change", "ChangeSet", "diff", "impact"]
@@ -172,24 +172,9 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
     """
     if subscription.plan_name not in pricing.plans:
         raise UnknownPlanError(subscription.plan_name)
-    plan = pricing.plans[subscription.plan_name]
-    grants = pricing._index.grants
-
-    def grants_truthy(feature: str) -> bool:
-        return any(
-            value.truthy
-            for add_on, value in grants.get(feature, ())
-            if add_on in subscription.add_on_names
-        )
-
-    reachable_features = {
-        name for name, feature in pricing.features.items()
-        if plan.feature_overrides.get(name, feature.default_value).truthy or grants_truthy(name)
-    }
-    reachable_limits = {
-        name for name, limit in pricing.usage_limits.items()
-        if not limit.linked_features or set(limit.linked_features) & reachable_features
-    }
+    index = pricing._index
+    reachable = truthy_in_plan(index.truthy_defaults, pricing.plans[subscription.plan_name])
+    reachable.update(*(index.truthy_grants.get(a, ()) for a in subscription.add_on_names))
 
     kept = []
     for change in changes:
@@ -200,18 +185,16 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
         elif kind is ChangeKind.FEATURE_ADDED:
             keep = _definition_truthy(change.definition)
         elif kind.name.startswith("FEATURE_"):
-            keep = name in reachable_features
+            keep = name in reachable
         elif kind is ChangeKind.LIMIT_ADDED:
             linked = change.definition["linkedFeatures"]
-            keep = not linked or bool(set(linked) & reachable_features)
-        elif kind is ChangeKind.LIMIT_THRESHOLD_CHANGED:
-            scope, limit_name = change.subjects
-            if scope == "default":
-                keep = limit_name in reachable_limits
-            else:
-                keep = scope == subscription.plan_name
+            keep = not linked or not reachable.isdisjoint(linked)
+        elif kind is ChangeKind.LIMIT_THRESHOLD_CHANGED and name != "default":
+            keep = name == subscription.plan_name  # a plan's own threshold
         elif kind.name.startswith("LIMIT_"):
-            keep = name in reachable_limits
+            limit = pricing.usage_limits.get(change.subjects[-1])  # after a threshold's scope
+            keep = limit is not None and (
+                not limit.linked_features or not reachable.isdisjoint(limit.linked_features))
         elif kind is ChangeKind.PLAN_ADDED:
             keep = False
         elif kind.name.startswith("PLAN_"):

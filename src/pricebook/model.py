@@ -421,12 +421,15 @@ class _EngineIndex:
     extensions add up and the last grant wins. It holds no resolved plan
     tables: the engine reads the one plan value it needs from the plan's
     overrides, so the index stays small and catalog-wide readers
-    (``validate``, ``pricing_stats``, ``diff``) never build it.
+    (``validate``, ``pricing_stats``, ``diff``) never build it. ``impact``
+    reads a subscriber's features from the truthy sets and its plan's overrides.
     """
 
     linked_limits: dict[str, tuple[str, ...]]  # feature -> limits linked to it
     grants: dict[str, tuple[tuple[str, FeatureValue], ...]]  # feature -> (add-on, grant)
     extensions: dict[str, tuple[tuple[str, Decimal], ...]]  # limit -> (add-on, extension)
+    truthy_defaults: frozenset[str]  # features whose catalog default is truthy
+    truthy_grants: dict[str, frozenset[str]]  # add-on -> features it grants truthy
 
     @classmethod
     def build(cls, pricing: Pricing) -> _EngineIndex:
@@ -445,7 +448,8 @@ class _EngineIndex:
         def frozen(entries: dict[str, list]) -> _FrozenDict:
             return _FrozenDict({key: tuple(value) for key, value in entries.items()})
 
-        return cls(frozen(linked), frozen(grants), frozen(extensions))
+        return cls(frozen(linked), frozen(grants), frozen(extensions), truthy_defaults(pricing),
+                   _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}))
 
 
 @dataclass(frozen=True)
@@ -507,6 +511,27 @@ def resolve_plan(pricing: Pricing, plan_name: str) -> ResolvedPlanConfig:
     return ResolvedPlanConfig(plan_name, feature_values, limit_values)
 
 
+def truthy_defaults(pricing: Pricing) -> frozenset[str]:
+    """Features whose catalog default is truthy."""
+    return frozenset(name for name, f in pricing.features.items() if f.default_value.truthy)
+
+
+def truthy_grants(add_on: AddOn) -> frozenset[str]:
+    """Features an add-on grants a truthy value."""
+    return frozenset(name for name, value in add_on.feature_grants.items() if value.truthy)
+
+
+def truthy_in_plan(defaults: frozenset[str], plan: Plan) -> set[str]:
+    """Features a plan resolves truthy: the truthy ``defaults``, switched by its overrides."""
+    features = set(defaults)
+    for name, value in plan.feature_overrides.items():
+        if value.truthy:
+            features.add(name)
+        else:
+            features.discard(name)
+    return features
+
+
 def classify_features(pricing: Pricing) -> dict[str, FeatureClass]:
     """COMMON if a feature resolves identically in every plan, else SPECIFIC.
 
@@ -537,22 +562,9 @@ def pricing_stats(pricing: Pricing) -> StatsSummary:
     for limit in pricing.usage_limits.values():
         limit_kinds[limit.kind] += 1
 
-    resolved = [resolve_plan(pricing, p) for p in pricing.plans]
-    plan_managed = sum(
-        1
-        for name in pricing.features
-        if any(r.feature_values[name].truthy for r in resolved)
-    )
-    add_on_counts = {
-        name: sum(1 for v in add_on.feature_grants.values() if v.truthy)
-        for name, add_on in pricing.add_ons.items()
-    }
-    add_on_managed = sum(
-        1
-        for name in pricing.features
-        if any(a.feature_grants.get(name) is not None and a.feature_grants[name].truthy
-               for a in pricing.add_ons.values())
-    )
+    defaults = truthy_defaults(pricing)
+    plan_managed = set().union(*(truthy_in_plan(defaults, p) for p in pricing.plans.values()))
+    granted = {name: truthy_grants(add_on) for name, add_on in pricing.add_ons.items()}
     return StatsSummary(
         plans=len(pricing.plans),
         add_ons=len(pricing.add_ons),
@@ -560,9 +572,9 @@ def pricing_stats(pricing: Pricing) -> StatsSummary:
         usage_limits=len(pricing.usage_limits),
         feature_types=feature_types,
         limit_kinds=limit_kinds,
-        plan_managed_features=plan_managed,
-        add_on_managed_features=add_on_managed,
-        add_on_feature_counts=add_on_counts,
+        plan_managed_features=len(plan_managed),
+        add_on_managed_features=len(set().union(*granted.values())),
+        add_on_feature_counts={name: len(features) for name, features in granted.items()},
     )
 
 

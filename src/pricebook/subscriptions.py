@@ -375,10 +375,12 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
         raise ValueError(
             f"state refers to {saas_name!r}, not to this pricing ({pricing.saas_name!r})"
         )
+    if not isinstance(plan, str) or not isinstance(start_text, str):
+        raise ValueError("plan and startInstant must be strings")
     if plan not in pricing.plans:
         raise UnknownPlanError(plan)
-    if not isinstance(add_ons, list):
-        raise ValueError("addOns must be a list")
+    if not isinstance(add_ons, list) or not all(isinstance(name, str) for name in add_ons):
+        raise ValueError("addOns must be a list of names")
     for name in add_ons:
         if name not in pricing.add_ons:
             raise UnknownAddOnError(name)

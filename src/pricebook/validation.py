@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .model import Pricing, resolve_plan
+from .model import Pricing, resolve_plan, truthy_defaults, truthy_grants, truthy_in_plan
 
 __all__ = ["Rule", "Violation", "ValidationReport", "validate"]
 
@@ -71,13 +71,13 @@ def validate(pricing: Pricing) -> ValidationReport:
                 f"plans {a!r} and {b!r} resolve to identical features and usage limits",
             ))
 
+    defaults = truthy_defaults(pricing)
+    reachable = set().union(
+        *(truthy_in_plan(defaults, plan) for plan in pricing.plans.values()),
+        *(truthy_grants(add_on) for add_on in pricing.add_ons.values()),
+    )
     for name in pricing.features:
-        in_plan = any(r.feature_values[name].truthy for r in resolved.values())
-        in_add_on = any(
-            name in add_on.feature_grants and add_on.feature_grants[name].truthy
-            for add_on in pricing.add_ons.values()
-        )
-        if not in_plan and not in_add_on:
+        if name not in reachable:
             violations.append(Violation(
                 Rule.R2_ORPHAN_FEATURE,
                 (name,),

@@ -294,13 +294,16 @@ class _Reader:
         return value
 
     def integer(self, node, path: str, *, minimum: int) -> int | None:
+        message = "expected an integer"
         if isinstance(node, yaml.nodes.ScalarNode) and not node.style and _INT_RE.match(node.value):
-            value = int(node.value)
-            if value < minimum:
-                self.err(node, path, ErrorKind.TYPE_MISMATCH, f"expected an integer >= {minimum}")
-                return None
-            return value
-        self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected an integer")
+            value = Decimal(node.value)  # int() refuses literals past 4,300 digits
+            if not exponent_in_range(value):
+                message = _EXPONENT_MESSAGE
+            elif value < minimum:
+                message = f"expected an integer >= {minimum}"
+            else:
+                return int(value)
+        self.err(node, path, ErrorKind.TYPE_MISMATCH, message)
         return None
 
     def enum(self, node, path: str, enum_cls):

@@ -71,6 +71,15 @@ class TestValidate:
         assert (code, out) == (2, "")
         assert "plans.PRO.price: TYPE_MISMATCH" in err and "exponent" in err
 
+    def test_period_value_of_5000_digits_exit_2(self, capsys, tmp_path, minimal_path):
+        literal = "9" * 5000
+        bad = tmp_path / "long.yml"
+        bad.write_text(minimal_path.read_text(encoding="utf-8")
+                       .replace("  value: 1\n", f"  value: {literal}\n", 1), encoding="utf-8")
+        code, out, err = run(capsys, "validate", str(bad))
+        assert (code, out) == (2, "")
+        assert "billingPeriod.value: TYPE_MISMATCH" in err and literal not in err
+
     def test_missing_file_exit_3(self, capsys):
         code, _, err = run(capsys, "validate", "does_not_exist.yml")
         assert code == 3
@@ -175,6 +184,16 @@ class TestConsume:
         code, _, err = run(capsys, "consume", zoom_file, "--subscription", str(bad),
                            "--limit", "maxAssistantsPerMeeting", "--amount", "1")
         assert code == 3
+
+    def test_state_field_of_the_wrong_type_exit_3(self, capsys, zoom_file, state_file):
+        state = json.loads(open(state_file, encoding="utf-8").read())
+        for key, value in [("startInstant", None), ("plan", ["PRO"]), ("addOns", [{"a": 1}])]:
+            with open(state_file, "w", encoding="utf-8") as fh:
+                json.dump({**state, key: value}, fh)
+            code, out, err = run(capsys, "consume", zoom_file, "--subscription", state_file,
+                                 "--limit", "maxAssistantsPerMeeting", "--amount", "1")
+            assert (code, out) == (3, "")
+            assert err.startswith(f"error: {state_file}: ")
 
     def test_interrupted_write_preserves_state(self, capsys, zoom_file, state_file,
                                                monkeypatch):

@@ -1,26 +1,45 @@
-"""The subscription engine and ``impact`` against their whole-catalog algorithm.
+"""The subscription engine, ``impact``, R2 and the stats counts against
+their whole-catalog algorithm.
 
-The engine reads each value it needs from a per-pricing index. The
-reference below is the algorithm it replaced, written the slow way: resolve
-the whole plan with ``resolve_plan``, scan every add-on in catalog order,
-and step every periodic window with ``latest_window_index``. Agreement
-covers values and their exponents, the order of linked limits, and which
-of several grants wins.
+The engine reads each value it needs from a per-pricing index, and
+reachability is set algebra over the features each plan and add-on makes
+truthy. The references below are the algorithms they replaced, written the
+slow way: resolve the whole plan with ``resolve_plan``, scan every feature
+and every add-on in catalog order, and step every periodic window with
+``latest_window_index``. Agreement covers values and their exponents, the
+order of linked limits, and which of several grants wins.
 """
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
 from decimal import Decimal
+from itertools import cycle
+
+import pytest
 
 from pricebook import (
+    AddOn,
+    Change,
     ChangeKind,
     ChangeSet,
     EvaluationResult,
+    Feature,
+    FeatureType,
+    FeatureValue,
+    LimitKind,
     LimitStatus,
     Period,
     PeriodUnit,
+    Plan,
+    Pricing,
+    Rule,
+    UsageLimit,
     UsageState,
+    ValidationReport,
+    Violation,
     create_subscription,
     diff,
     effective_limit,
@@ -28,7 +47,9 @@ from pricebook import (
     evaluation_context,
     impact,
     parse_instant,
+    pricing_stats,
     resolve_plan,
+    validate,
 )
 from pricebook.periods import advance, latest_window_index
 
@@ -168,3 +189,174 @@ def test_impact_equals_whole_catalog_reference():
         changes = diff(pricing, mutate_pricing(rng, pricing, rng.randint(1, 4)))
         for sub, _ in _random_subscriptions(rng, pricing, 3):
             assert impact(pricing, sub, changes) == reference_impact(pricing, sub, changes)
+
+
+# -- reachability edge cases ---------------------------------------------------
+
+TRUE, FALSE = FeatureValue.boolean(True), FeatureValue.boolean(False)
+
+
+def _edge_pricing():
+    """Plan ``P`` with add-on ``held`` is the subscriber of every edge case."""
+    defaults = {
+        "offThenGranted": TRUE,
+        "onDespiteFalsyGrant": FALSE,
+        "grantedByAnother": FALSE,
+        "numericZero": FeatureValue.numeric(0),
+        "textEmpty": FeatureValue.text(""),
+        "numericZeroedByPlan": FeatureValue.numeric(5),
+        "textEmptiedByPlan": FeatureValue.text("gold"),
+        "numericGranted": FeatureValue.numeric(0),
+    }
+    features = {name: Feature(name, FeatureType.DOMAIN, value.kind, value)
+                for name, value in defaults.items()}
+    links = {"unlinked": (), "onGranted": ("offThenGranted",),
+             "onFalsy": ("numericZero", "textEmpty"),
+             "onMixed": ("numericZero", "onDespiteFalsyGrant")}
+    limits = {name: UsageLimit(name, LimitKind.NON_RENEWABLE, "calls", Decimal(10),
+                               linked_features=linked) for name, linked in links.items()}
+    plans = {
+        "P": Plan("P", Decimal(1), feature_overrides={
+            "offThenGranted": FALSE, "onDespiteFalsyGrant": TRUE,
+            "numericZeroedByPlan": FeatureValue.numeric(0),
+            "textEmptiedByPlan": FeatureValue.text("")}),
+        "Q": Plan("Q", Decimal(2)),
+    }
+    add_ons = {
+        "held": AddOn("held", Decimal(1), feature_grants={
+            "offThenGranted": TRUE, "onDespiteFalsyGrant": FALSE,
+            "numericGranted": FeatureValue.numeric(3)}),
+        "notHeld": AddOn("notHeld", Decimal(1), feature_grants={"grantedByAnother": TRUE}),
+    }
+    return Pricing("Edges", "1", "USD", Period(1, PeriodUnit.MONTH),
+                   features, limits, plans, add_ons)
+
+
+# Whether the subscriber reaches each feature or limit.
+EDGE_CASES = {
+    "offThenGranted": True,  # truthy default, falsy in the plan, granted back by a held add-on
+    "onDespiteFalsyGrant": True,  # a falsy grant leaves the plan's truthy value reachable
+    "grantedByAnother": False,  # granted truthy only by an add-on the subscriber lacks
+    "numericZero": False,  # NUMERIC 0 and TEXT "" are falsy, as defaults ...
+    "textEmpty": False,
+    "numericZeroedByPlan": False,  # ... and as plan overrides
+    "textEmptiedByPlan": False,
+    "numericGranted": True,
+    "unlinked": True,  # a limit linked to no feature applies to every subscriber
+    "onGranted": True,
+    "onFalsy": False,
+    "onMixed": True,  # one reachable linked feature is enough
+    "ghost": False,  # a limit the old pricing does not have
+}
+
+
+@pytest.mark.parametrize("subject", list(EDGE_CASES))
+def test_impact_reachability_edge_case(subject):
+    pricing = _edge_pricing()
+    sub = create_subscription(pricing, "P", ["held"], T0)
+    if subject in pricing.features:
+        changes = [Change(ChangeKind.FEATURE_DEFAULT_CHANGED, (subject,))]
+    else:  # a limit change, and a change of its catalog ("default" scope) threshold
+        changes = [Change(ChangeKind.LIMIT_METRIC_CHANGED, (subject,), "calls", "GB"),
+                   Change(ChangeKind.LIMIT_THRESHOLD_CHANGED, ("default", subject),
+                          Decimal(10), Decimal(20))]
+    changes = ChangeSet(tuple(changes))
+    kept = impact(pricing, sub, changes)
+    assert kept == reference_impact(pricing, sub, changes)
+    assert kept == (changes if EDGE_CASES[subject] else ChangeSet(()))
+
+
+def test_impact_reads_truthy_only_on_the_plan_overrides(monkeypatch):
+    # Once the index is built, a verdict costs the plan's overrides, not the catalog.
+    rng = random.Random(604)
+    values = [TRUE, FALSE, FeatureValue.numeric(0), FeatureValue.numeric(5),
+              FeatureValue.text(""), FeatureValue.text("on")]
+    names = [f"feature{i}" for i in range(1200)]
+    features = {name: Feature(name, FeatureType.DOMAIN, value.kind, value)
+                for name, value in zip(names, cycle(values))}
+
+    def any_value(name):
+        return rng.choice([v for v in values if v.kind is features[name].value_kind])
+
+    limits = {f"limit{i}": UsageLimit(f"limit{i}", LimitKind.NON_RENEWABLE, "calls", Decimal(5),
+                                      linked_features=tuple(rng.sample(names, rng.randint(0, 3))))
+              for i in range(100)}
+    plans = {"P": Plan("P", Decimal(1),
+                       feature_overrides={name: any_value(name) for name in rng.sample(names, 60)})}
+    add_ons = {f"a{i}": AddOn(f"a{i}", Decimal(1), feature_grants={
+        name: any_value(name) for name in rng.sample(names, 40)}) for i in range(6)}
+    pricing = Pricing("Wide", "1", "USD", Period(1, PeriodUnit.MONTH),
+                      features, limits, plans, add_ons)
+    sub = create_subscription(pricing, "P", ["a0", "a2", "a3"], T0)
+    changes = ChangeSet(tuple(
+        [Change(ChangeKind.FEATURE_DEFAULT_CHANGED, (name,)) for name in names[::7]]
+        + [Change(ChangeKind.LIMIT_METRIC_CHANGED, (name,), "calls", "GB") for name in limits]
+        + [Change(ChangeKind.LIMIT_THRESHOLD_CHANGED, ("default", name), Decimal(5), Decimal(6))
+           for name in limits]))
+    want = reference_impact(pricing, sub, changes)
+    assert impact(pricing, sub, changes) == want  # builds the index
+
+    calls = 0
+    truthy = FeatureValue.truthy
+
+    def counted(value):
+        nonlocal calls
+        calls += 1
+        return truthy.fget(value)
+
+    monkeypatch.setattr(FeatureValue, "truthy", property(counted))
+    assert TRUE.truthy and calls == 1  # the counter sees every read
+    calls = 0
+    assert impact(pricing, sub, changes) == want
+    assert calls <= len(pricing.plans["P"].feature_overrides)
+
+
+# -- R2 and the stats counts ---------------------------------------------------
+
+def reference_orphans(pricing):
+    """R2 violations the slow way: each feature against every resolved plan and add-on."""
+    resolved = [resolve_plan(pricing, name) for name in pricing.plans]
+    return [
+        Violation(Rule.R2_ORPHAN_FEATURE, (name,),
+                  f"feature {name!r} is truthy in no plan and granted by no add-on")
+        for name in pricing.features
+        if not any(r.feature_values[name].truthy for r in resolved)
+        and not any(name in add_on.feature_grants and add_on.feature_grants[name].truthy
+                    for add_on in pricing.add_ons.values())
+    ]
+
+
+def reference_managed_counts(pricing):
+    """The managed-feature counts of ``pricing_stats``, the slow way."""
+    resolved = [resolve_plan(pricing, name) for name in pricing.plans]
+    return {
+        "planManagedFeatures": sum(
+            any(r.feature_values[name].truthy for r in resolved) for name in pricing.features),
+        "addOnManagedFeatures": sum(
+            any(add_on.feature_grants.get(name) is not None and add_on.feature_grants[name].truthy
+                for add_on in pricing.add_ons.values())
+            for name in pricing.features),
+        "addOnFeatureCounts": {
+            name: sum(value.truthy for value in add_on.feature_grants.values())
+            for name, add_on in pricing.add_ons.items()},
+    }
+
+
+def test_r2_and_stats_equal_whole_catalog_reference():
+    rng = random.Random(603)
+    seen = Counter()
+    for _ in range(120):
+        pricing = random_pricing(rng)
+        report = validate(pricing)
+        orphans = reference_orphans(pricing)
+        want = sorted([v for v in report.violations if v.rule is not Rule.R2_ORPHAN_FEATURE]
+                      + orphans, key=lambda v: (v.rule.value, v.subjects[0]))
+        assert report == ValidationReport(valid=not want, violations=tuple(want))
+        stats = pricing_stats(pricing).to_dict()
+        assert json.dumps(stats) == json.dumps({**stats, **reference_managed_counts(pricing)})
+        seen["no add-ons"] += not pricing.add_ons
+        seen["no plans"] += not pricing.plans
+        seen["a plan without overrides"] += any(
+            not plan.feature_overrides for plan in pricing.plans.values())
+        seen["orphans"] += bool(orphans)
+    assert min(seen.values()) >= 5, seen

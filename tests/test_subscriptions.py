@@ -1,6 +1,7 @@
 """Entitlement evaluation, quota accounting, window resets, persistence."""
 
 import calendar
+import json
 import random
 from dataclasses import replace
 from datetime import datetime, timedelta, timezone
@@ -433,6 +434,14 @@ class TestStatePersistence:
         for used in ("1e1000", "1e-1000"):
             again = subscription_from_json(zoom, text.replace('"used": "0"', f'"used": "{used}"', 1))
             assert Decimal(used) in [state.used for state in again.usage.values()]
+
+    def test_field_of_the_wrong_type_is_a_value_error(self, zoom, pro_huge):
+        state = json.loads(subscription_to_json(zoom, pro_huge))
+        for key, value in [("startInstant", None), ("startInstant", 5), ("plan", {"a": 1}),
+                           ("plan", ["PRO"]), ("plan", 5), ("addOns", [["hugeMeetings"]]),
+                           ("addOns", [{"a": 1}])]:
+            with pytest.raises(ValueError):
+                subscription_from_json(zoom, json.dumps({**state, key: value}))
 
     def test_malformed_state_rejected(self, zoom):
         with pytest.raises(ValueError):

@@ -237,6 +237,22 @@ def test_number_exponent_out_of_range_is_a_located_type_mismatch():
         assert parse(BOUNDED_DOC.format(number=number)).plans["P"].price == Decimal(number)
 
 
+def test_period_value_exponent_out_of_range_is_a_located_type_mismatch(minimal_path):
+    # int() refuses literals of more than 4,300 digits, so a period value
+    # is held to the same exponent bound as every other number first.
+    golden = minimal_path.read_text(encoding="utf-8")
+
+    def with_value(literal):
+        return golden.replace("  value: 1\n", f"  value: {literal}\n", 1)
+
+    for literal in ("1" + "0" * 1001, "9" * 5000, "-" + "9" * 5000):
+        errs = errors_of(with_value(literal))
+        assert [(e.path, e.kind) for e in errs] == [("billingPeriod.value", ErrorKind.TYPE_MISMATCH)]
+        assert "exponent" in errs[0].message and literal not in str(errs[0])
+    assert parse(with_value("1" + "0" * 1000)).billing_period.value == 10 ** 1000
+    assert parse(with_value("0" * 5000 + "2")).billing_period.value == 2
+
+
 def test_zoom_round_trip(zoom, zoom_text):
     assert parse(serialize(zoom)) == zoom
     assert serialize(zoom) == zoom_text  # the fixture is kept in canonical form
