@@ -95,16 +95,16 @@ class ChangeSet:
         return "\n".join(json.dumps(c.to_dict()) for c in self.changes) + "\n"
 
 
-# Pricing attribute of each catalog, by key: a plan's map overrides the
-# catalog of the same key.
-_CATALOG_ATTR = {key: attr for key, attr, _, _ in FIELDS[Pricing]}
+# Pricing attribute of each catalog, by its entry type: a plan's map
+# overrides the defaults of the catalog its values are keyed by.
+_CATALOG_ATTR = {field.holds: field.attr for field in FIELDS[Pricing]}
 
 
 def diff(old: Pricing, new: Pricing) -> ChangeSet:
     """Field-level change list taking ``old`` to ``new``; empty iff equal."""
     changes: list[Change] = []
     add = changes.append
-    for key, attr, kind, _ in FIELDS[Pricing]:
+    for key, attr, _, kind, _ in FIELDS[Pricing]:
         before, after = getattr(old, attr), getattr(new, attr)
         if not isinstance(after, dict):
             if before != after:
@@ -124,7 +124,7 @@ def diff(old: Pricing, new: Pricing) -> ChangeSet:
 
 
 def _diff_entry(old: Pricing, new: Pricing, name: str, before, after, add) -> None:
-    for key, attr, kind, _ in FIELDS[type(after)]:
+    for _, attr, holds, kind, _ in FIELDS[type(after)]:
         o, n = getattr(before, attr), getattr(after, attr)
         if not isinstance(n, dict):
             if o != n:
@@ -133,7 +133,7 @@ def _diff_entry(old: Pricing, new: Pricing, name: str, before, after, add) -> No
                 add(Change(kind, (*scope, name), o, n))
         elif type(after) is Plan:
             # Compare what the plan resolves to, override else catalog default.
-            catalog = _CATALOG_ATTR[key]
+            catalog = _CATALOG_ATTR[holds.entry]
             old_catalog, new_catalog = getattr(old, catalog), getattr(new, catalog)
             for ref, entry in new_catalog.items():
                 if ref in old_catalog:

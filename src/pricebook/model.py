@@ -1,16 +1,16 @@
 """In-memory model of a SaaS pricing: plans, add-ons, features, usage limits.
 
-All objects are frozen dataclasses. The ``Pricing`` constructor
-canonicalizes its input (plan overrides exactly equal to the catalog
-default are dropped, since they change nothing), makes every map it holds
-read-only, its own and those of its plans and add-ons, and then enforces
-every structural invariant, so any ``Pricing`` you can hold is internally
-consistent: names are unique, every reference resolves, and every value
-matches its declared kind. A ``Pricing`` cannot change after construction,
-which is what lets the subscription engine build its lookup index once per
-pricing, on first use, and keep it. ``Plan`` and ``AddOn`` objects built by
-hand keep the plain dicts they were given until a ``Pricing`` takes them
-in.
+All objects are frozen dataclasses. The ``Pricing`` constructor enforces
+every structural invariant on its input as given, so any ``Pricing`` you
+can hold is internally consistent: names are unique, every reference
+resolves, and every value matches its declared kind. It then canonicalizes
+(plan overrides exactly equal to the catalog default are dropped, since
+they change nothing) and makes every map it holds read-only, its own and
+those of its plans and add-ons. A ``Pricing`` cannot change after
+construction, which is what lets the subscription engine build its lookup
+index once per pricing, on first use, and keep it. ``Plan`` and ``AddOn``
+objects built by hand keep the plain dicts they were given until a
+``Pricing`` takes them in.
 
 Numbers are ``decimal.Decimal`` throughout. Documents round-trip exactly
 and equality never suffers binary floating point surprises.
@@ -302,8 +302,8 @@ class Pricing:
     add_ons: dict[str, AddOn] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self._canonicalize()
         self._check()
+        self._canonicalize()
 
     def _canonicalize(self) -> None:
         # Two normalizations keep "equal pricings serialize identically"
@@ -311,11 +311,10 @@ class Pricing:
         # (they are inert under resolution), and every cross-reference map
         # or list is rewritten in catalog declaration order, deduplicated.
         # Every map is frozen on the way, which is what makes caching
-        # derived lookups (``_index``) sound.
+        # derived lookups (``_index``) sound. ``_check`` has run, so every
+        # name these maps and lists hold is in its catalog.
         def ordered(values: dict, catalog: dict) -> dict:
-            out = {key: values[key] for key in catalog if key in values}
-            out.update({key: value for key, value in values.items() if key not in catalog})
-            return _FrozenDict(out)
+            return _FrozenDict({key: values[key] for key in catalog if key in values})
 
         object.__setattr__(self, "features", _FrozenDict(self.features))
 
@@ -331,14 +330,12 @@ class Pricing:
         plans = {}
         for name, plan in self.plans.items():
             fo = ordered({
-                f: v
-                for f, v in plan.feature_overrides.items()
-                if f not in self.features or self.features[f].default_value != v
+                f: v for f, v in plan.feature_overrides.items()
+                if self.features[f].default_value != v
             }, self.features)
             lo = ordered({
-                l: v
-                for l, v in plan.limit_overrides.items()
-                if l not in self.usage_limits or self.usage_limits[l].default_value != v
+                l: v for l, v in plan.limit_overrides.items()
+                if self.usage_limits[l].default_value != v
             }, self.usage_limits)
             plans[name] = replace(plan, feature_overrides=fo, limit_overrides=lo)
         object.__setattr__(self, "plans", _FrozenDict(plans))
@@ -400,6 +397,8 @@ class Pricing:
         for f, v in values.items():
             if f not in self.features:
                 raise ModelError(f"{owner} references unknown feature {f!r}")
+            if not isinstance(v, FeatureValue):
+                raise ModelError(f"{owner}: value for {f!r} must be a FeatureValue, got {v!r}")
             declared = self.features[f].value_kind
             if v.kind is not declared:
                 raise ModelError(
@@ -540,11 +539,12 @@ def classify_features(pricing: Pricing) -> dict[str, FeatureClass]:
     """
     if not pricing.plans:
         raise NoPlansError("feature classification requires at least one plan")
-    resolved = [resolve_plan(pricing, p) for p in pricing.plans]
+    first, *rest = pricing.plans.values()
     out: dict[str, FeatureClass] = {}
-    for name in pricing.features:
-        first = resolved[0].feature_values[name]
-        same = all(r.feature_values[name] == first for r in resolved[1:])
+    for name, feature in pricing.features.items():
+        value = first.feature_overrides.get(name, feature.default_value)
+        same = all(plan.feature_overrides.get(name, feature.default_value) == value
+                   for plan in rest)
         out[name] = FeatureClass.COMMON if same else FeatureClass.SPECIFIC
     return out
 
@@ -580,9 +580,7 @@ def pricing_stats(pricing: Pricing) -> StatsSummary:
 
 def _position_key(catalog: dict):
     """Sort key by declaration position in ``catalog``."""
-    positions = {key: index for index, key in enumerate(catalog)}
-    unknown = len(positions)  # unknown names sort last; _check rejects them next
-    return lambda name: positions.get(name, unknown)
+    return {key: index for index, key in enumerate(catalog)}.__getitem__
 
 
 def _check_identifier(name: str, label: str) -> None:
@@ -602,64 +600,97 @@ def _check_amount(value: Decimal, what: str) -> None:
 
 class Field(NamedTuple):
     """One field of an entity: its document and JSON key, the model
-    attribute that holds it, the change kind ``diff`` reports when it
-    differs ((added, removed) for a catalog of entries), and the values
-    ``serialize`` leaves out, its schema default (none: always written)."""
+    attribute that holds it, what it holds (below), the change kind
+    ``diff`` reports when it differs ((added, removed) for a catalog of
+    entries), and the values ``serialize`` leaves out, its schema default.
+    A field without such a default is always written, and a document must
+    give it."""
 
     key: str
     attr: str
+    holds: object
     change: object = None
     omit: tuple = ()
 
 
+class Names(NamedTuple):
+    """What a list field holds: names of entries in the catalog of ``entry``."""
+
+    entry: type
+
+
+class Values(NamedTuple):
+    """What a map field holds: for names of entries in the catalog of
+    ``entry``, one value each of what ``holds`` says, written {value: ...}
+    in a document."""
+
+    entry: type
+    holds: object
+
+
+# What a scalar field holds where its type does not say it all: text that
+# is not blank, a three-letter currency code, an amount above zero. An
+# ``int`` is a count, at least 1.
+NONBLANK = "non-blank text"
+CURRENCY = "currency code"
+POSITIVE = "amount above zero"
+
 _C = ChangeKind
 # Each entity's fields in canonical order: the order ``serialize`` writes
-# and the JSON views list them in, and the keys the parser accepts. A plan's
-# and an add-on's maps hold values by feature or limit name, each written
-# {value: ...} in a document; a plan's maps override the catalog of the
-# same key.
+# and the JSON views list them in, and the keys the parser accepts. A field
+# holds a scalar type, an entity (``Period``), a catalog of entries (an
+# entry type), or names of or values by a catalog's entries.
 FIELDS: dict[type, tuple[Field, ...]] = {
     Pricing: (
-        Field("saasName", "saas_name", _C.METADATA_CHANGED),
-        Field("version", "version", _C.METADATA_CHANGED),
-        Field("currency", "currency", _C.METADATA_CHANGED),
-        Field("billingPeriod", "billing_period", _C.METADATA_CHANGED),
-        Field("features", "features", (_C.FEATURE_ADDED, _C.FEATURE_REMOVED)),
-        Field("usageLimits", "usage_limits", (_C.LIMIT_ADDED, _C.LIMIT_REMOVED), ({},)),
-        Field("plans", "plans", (_C.PLAN_ADDED, _C.PLAN_REMOVED), ({},)),
-        Field("addOns", "add_ons", (_C.ADD_ON_ADDED, _C.ADD_ON_REMOVED), ({},)),
+        Field("saasName", "saas_name", NONBLANK, _C.METADATA_CHANGED),
+        Field("version", "version", str, _C.METADATA_CHANGED),
+        Field("currency", "currency", CURRENCY, _C.METADATA_CHANGED),
+        Field("billingPeriod", "billing_period", Period, _C.METADATA_CHANGED),
+        Field("features", "features", Feature, (_C.FEATURE_ADDED, _C.FEATURE_REMOVED)),
+        Field("usageLimits", "usage_limits", UsageLimit, (_C.LIMIT_ADDED, _C.LIMIT_REMOVED),
+              ({},)),
+        Field("plans", "plans", Plan, (_C.PLAN_ADDED, _C.PLAN_REMOVED), ({},)),
+        Field("addOns", "add_ons", AddOn, (_C.ADD_ON_ADDED, _C.ADD_ON_REMOVED), ({},)),
     ),
     Feature: (
-        Field("description", "description", _C.FEATURE_DESCRIPTION_CHANGED, ("",)),
-        Field("type", "feature_type", _C.FEATURE_TYPE_CHANGED),
-        Field("valueType", "value_kind", _C.FEATURE_VALUE_TYPE_CHANGED, (ValueKind.BOOLEAN,)),
+        Field("description", "description", str, _C.FEATURE_DESCRIPTION_CHANGED, ("",)),
+        Field("type", "feature_type", FeatureType, _C.FEATURE_TYPE_CHANGED),
+        Field("valueType", "value_kind", ValueKind, _C.FEATURE_VALUE_TYPE_CHANGED,
+              (ValueKind.BOOLEAN,)),
         # a default value always has the feature's kind, so this omits the kind's default
-        Field("defaultValue", "default_value", _C.FEATURE_DEFAULT_CHANGED,
+        Field("defaultValue", "default_value", FeatureValue, _C.FEATURE_DEFAULT_CHANGED,
               (_FALSE, _ZERO, _EMPTY_TEXT)),
     ),
     UsageLimit: (
-        Field("description", "description", _C.LIMIT_DESCRIPTION_CHANGED, ("",)),
-        Field("type", "kind", _C.LIMIT_KIND_CHANGED),
-        Field("metric", "metric", _C.LIMIT_METRIC_CHANGED),
-        Field("period", "period", _C.LIMIT_PERIOD_CHANGED, (None,)),
-        Field("defaultValue", "default_value", _C.LIMIT_THRESHOLD_CHANGED),
-        Field("linkedFeatures", "linked_features", _C.LIMIT_LINKED_FEATURES_CHANGED, ((),)),
+        Field("description", "description", str, _C.LIMIT_DESCRIPTION_CHANGED, ("",)),
+        Field("type", "kind", LimitKind, _C.LIMIT_KIND_CHANGED),
+        Field("metric", "metric", NONBLANK, _C.LIMIT_METRIC_CHANGED),
+        Field("period", "period", Period, _C.LIMIT_PERIOD_CHANGED, (None,)),
+        Field("defaultValue", "default_value", Decimal, _C.LIMIT_THRESHOLD_CHANGED),
+        Field("linkedFeatures", "linked_features", Names(Feature),
+              _C.LIMIT_LINKED_FEATURES_CHANGED, ((),)),
     ),
     Plan: (
-        Field("price", "price", _C.PLAN_PRICE_CHANGED),
-        Field("features", "feature_overrides", _C.PLAN_FEATURE_VALUE_CHANGED, ({},)),
-        Field("usageLimits", "limit_overrides", _C.LIMIT_THRESHOLD_CHANGED, ({},)),
+        Field("price", "price", Decimal, _C.PLAN_PRICE_CHANGED),
+        Field("features", "feature_overrides", Values(Feature, FeatureValue),
+              _C.PLAN_FEATURE_VALUE_CHANGED, ({},)),
+        Field("usageLimits", "limit_overrides", Values(UsageLimit, Decimal),
+              _C.LIMIT_THRESHOLD_CHANGED, ({},)),
     ),
     AddOn: (
-        Field("price", "price", _C.ADD_ON_PRICE_CHANGED),
-        Field("availableFor", "available_for", _C.ADD_ON_AVAILABILITY_CHANGED, ((),)),
-        Field("features", "feature_grants", _C.ADD_ON_GRANT_CHANGED, ({},)),
-        Field("usageLimitExtensions", "limit_extensions", _C.ADD_ON_EXTENSION_CHANGED, ({},)),
+        Field("price", "price", Decimal, _C.ADD_ON_PRICE_CHANGED),
+        Field("availableFor", "available_for", Names(Plan), _C.ADD_ON_AVAILABILITY_CHANGED,
+              ((),)),
+        Field("features", "feature_grants", Values(Feature, FeatureValue),
+              _C.ADD_ON_GRANT_CHANGED, ({},)),
+        Field("usageLimitExtensions", "limit_extensions", Values(UsageLimit, POSITIVE),
+              _C.ADD_ON_EXTENSION_CHANGED, ({},)),
     ),
-    Period: (Field("value", "value"), Field("unit", "unit")),
-    FeatureValue: (Field("type", "kind"), Field("value", "value")),
+    Period: (Field("value", "value", int), Field("unit", "unit", PeriodUnit)),
+    FeatureValue: (Field("type", "kind", ValueKind), Field("value", "value", object)),
 }
 WRAPPED_KEY = "value"  # the one key of the {value: ...} around each map value in a document
+ENTRIES = (Feature, UsageLimit, Plan, AddOn)  # the entry types, each kept in a catalog by name
 del _C
 
 
@@ -677,7 +708,7 @@ def to_json(value):
 def _object(fields: tuple[Field, ...], named: bool = False):
     def encode(value) -> dict:
         out = {"name": value.name} if named else {}
-        for key, attr, _, _ in fields:
+        for key, attr, _, _, _ in fields:
             out[key] = to_json(getattr(value, attr))
         return out
 
@@ -698,5 +729,5 @@ _TO_JSON = {
     tuple: _list, list: _list, dict: _items, _FrozenDict: _items,
     **{enum: attrgetter("value") for enum in (FeatureType, ValueKind, LimitKind, PeriodUnit)},
     Period: _object(FIELDS[Period]), FeatureValue: _object(FIELDS[FeatureValue]),
-    **{entry: _object(FIELDS[entry], named=True) for entry in (Feature, UsageLimit, Plan, AddOn)},
+    **{entry: _object(FIELDS[entry], named=True) for entry in ENTRIES},
 }

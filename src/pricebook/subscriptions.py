@@ -152,12 +152,7 @@ def create_subscription(
     if plan_name not in pricing.plans:
         raise UnknownPlanError(plan_name)
     names = frozenset(add_on_names)
-    for name in sorted(names):
-        if name not in pricing.add_ons:
-            raise UnknownAddOnError(name)
-        available = pricing.add_ons[name].available_for
-        if available and plan_name not in available:
-            raise AddOnNotAvailableError(name, plan_name)
+    _check_add_ons(pricing, plan_name, sorted(names))
     start = _check_instant(start_instant)
     contract = contract_period or pricing.billing_period
     usage = {}
@@ -175,6 +170,16 @@ def create_subscription(
         contract_period=contract,
         usage=usage,
     )
+
+
+def _check_add_ons(pricing: Pricing, plan_name: str, add_on_names) -> None:
+    """Refuse, in the order given, an add-on the pricing lacks or does not offer with the plan."""
+    for name in add_on_names:
+        add_on = pricing.add_ons.get(name)
+        if add_on is None:
+            raise UnknownAddOnError(name)
+        if add_on.available_for and plan_name not in add_on.available_for:
+            raise AddOnNotAvailableError(name, plan_name)
 
 
 def effective_limit(pricing: Pricing, subscription: Subscription, limit_name: str) -> Decimal:
@@ -381,12 +386,7 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
         raise UnknownPlanError(plan)
     if not isinstance(add_ons, list) or not all(isinstance(name, str) for name in add_ons):
         raise ValueError("addOns must be a list of names")
-    for name in add_ons:
-        if name not in pricing.add_ons:
-            raise UnknownAddOnError(name)
-        available = pricing.add_ons[name].available_for
-        if available and plan not in available:
-            raise AddOnNotAvailableError(name, plan)
+    _check_add_ons(pricing, plan, add_ons)
     start = parse_instant(start_text)
     try:
         period = Period(contract["value"], PeriodUnit(contract["unit"]))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .model import Pricing, resolve_plan, truthy_defaults, truthy_grants, truthy_in_plan
+from .model import Pricing, truthy_defaults, truthy_grants, truthy_in_plan
 
 __all__ = ["Rule", "Violation", "ValidationReport", "validate"]
 
@@ -61,10 +61,14 @@ def validate(pricing: Pricing) -> ValidationReport:
     """Pure rule check; the same pricing always yields the same report."""
     violations: list[Violation] = []
 
-    resolved = {name: resolve_plan(pricing, name) for name in pricing.plans}
-    for a, b in combinations(pricing.plans, 2):
-        ra, rb = resolved[a], resolved[b]
-        if ra.feature_values == rb.feature_values and ra.limit_values == rb.limit_values:
+    # A plan keeps only the overrides that differ from the catalog default,
+    # so two plans resolve alike exactly when their override maps are equal.
+    alike: dict[tuple, list[str]] = {}
+    for name, plan in pricing.plans.items():
+        key = (frozenset(plan.feature_overrides.items()), frozenset(plan.limit_overrides.items()))
+        alike.setdefault(key, []).append(name)
+    for names in alike.values():
+        for a, b in combinations(names, 2):
             violations.append(Violation(
                 Rule.R1_DUPLICATE_PLANS,
                 (a, b),

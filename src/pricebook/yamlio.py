@@ -1,20 +1,27 @@
 """Reading and writing pricing documents.
 
 The document dialect is a small YAML subset whose grammar is fixed by this
-module; the README carries the normative description. Parsing is strict:
-unknown keys, duplicate keys, dangling references, and value/kind
-mismatches are all errors, and all structural errors in a document are
-collected and reported together with line, column, and document path.
+module and the field table ``model.FIELDS``; the README carries the
+normative description. Parsing is strict: unknown keys, duplicate keys,
+dangling references, and value/kind mismatches are all errors.
 
 ``parse`` works on the YAML node graph rather than on loaded Python
 objects so that every error can point at its source location and so that
-numbers can be read as exact decimals from their literal text.
+numbers can be read as exact decimals from their literal text. One walk
+reads every entity by the field table and collects errors instead of
+stopping, each with line, column, and document path. Within an entity it
+reads the scalar fields first, then the nested ones, each in table order,
+and reports errors in that order. A feature without a ``type`` reports
+nothing more, and one whose type or value type is unreadable does not
+read its default value. The rules that join fields (a limit's period
+against its kind, an add-on that grants nothing, a pricing with neither
+plans nor add-ons) are checked once an entity's fields are read.
 
 ``serialize`` emits the canonical form: keys in the order of the field
-table ``model.FIELDS``, which also lists the keys the parser accepts,
-catalog entries in declaration order, two-space indent, LF line endings,
-the schema defaults the table names omitted. ``serialize`` then ``parse`` is the identity on valid pricings,
-and ``serialize(parse(...))`` is idempotent on documents.
+table, catalog entries in declaration order, two-space indent, LF line
+endings, the schema defaults the table names omitted. ``serialize`` then
+``parse`` is the identity on valid pricings, and ``serialize(parse(...))``
+is idempotent on documents.
 """
 
 from __future__ import annotations
@@ -23,26 +30,33 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 
 import yaml
+from yaml.nodes import MappingNode, ScalarNode, SequenceNode
 
 from .errors import ModelError, PricebookError
 from .model import (
+    CURRENCY,
+    ENTRIES,
     FIELDS,
+    IDENTIFIER_RE,
+    MAX_EXPONENT,
+    NONBLANK,
+    POSITIVE,
     WRAPPED_KEY,
     AddOn,
     Feature,
     FeatureType,
     FeatureValue,
-    IDENTIFIER_RE,
     LimitKind,
+    Names,
     Plan,
     Pricing,
     UsageLimit,
-    MAX_EXPONENT,
     ValueKind,
-    default_value_for,
+    Values,
     exponent_in_range,
 )
 from .periods import Period, PeriodUnit
@@ -158,13 +172,15 @@ def _read(root: yaml.nodes.Node | None) -> Pricing:
         raise DocumentError(
             [ParseError(1, 1, "", ErrorKind.MISSING_REQUIRED, "document is empty")]
         )
-    errors: list[ParseError] = []
-    pricing = _Reader(errors).document(root)
-    if errors or pricing is None:
-        if not errors:
-            errors.append(ParseError(1, 1, "", ErrorKind.SYNTAX, "could not interpret document"))
-        raise DocumentError(errors)
-    return pricing
+    reader = _Reader()
+    values, ok = reader.entity(Pricing, root, "")
+    if ok and not reader.errors:
+        try:
+            return Pricing(**values)
+        except ModelError as exc:  # safety net; the walk should catch everything
+            reader.err(root, "", ErrorKind.TYPE_MISMATCH, str(exc))
+    raise DocumentError(reader.errors or [
+        ParseError(1, 1, "", ErrorKind.SYNTAX, "could not interpret document")])
 
 
 def _yaml_error(exc: yaml.YAMLError, text: str) -> ParseError:
@@ -191,10 +207,13 @@ def _loc(node: yaml.nodes.Node) -> tuple[int, int]:
 
 
 class _Reader:
-    """Walks the node graph, collecting errors instead of stopping."""
+    """Walks the node graph by the field table, collecting errors instead of stopping."""
 
-    def __init__(self, errors: list[ParseError]):
-        self.errors = errors
+    def __init__(self):
+        self.errors: list[ParseError] = []
+        # Every name each catalog declares, whether or not its entry reads;
+        # a feature's name maps to the kind of its values, None if unknown.
+        self.declared: dict[type, dict[str, ValueKind | None]] = {entry: {} for entry in ENTRIES}
 
     def err(self, node: yaml.nodes.Node, path: str, kind: ErrorKind, message: str) -> None:
         line, column = _loc(node)
@@ -204,13 +223,13 @@ class _Reader:
 
     def mapping(self, node: yaml.nodes.Node, path: str):
         """Yield (key, key_node, value_node); reports duplicate keys."""
-        if not isinstance(node, yaml.nodes.MappingNode):
+        if not isinstance(node, MappingNode):
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a mapping")
             return None
         seen: set[str] = set()
         out = []
         for key_node, value_node in node.value:
-            if not isinstance(key_node, yaml.nodes.ScalarNode):
+            if not isinstance(key_node, ScalarNode):
                 self.err(key_node, path, ErrorKind.TYPE_MISMATCH, "mapping keys must be scalars")
                 continue
             key = key_node.value
@@ -242,7 +261,7 @@ class _Reader:
 
     def scalar(self, node, path: str):
         """Classify a scalar: ('bool'|'num'|'str'|'null', value)."""
-        if not isinstance(node, yaml.nodes.ScalarNode):
+        if not isinstance(node, ScalarNode):
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a scalar value")
             return None
         # Plain scalars have style None under the pure loader and '' under
@@ -274,6 +293,13 @@ class _Reader:
             return None
         return text
 
+    def currency(self, node, path: str) -> str | None:
+        code = self.string(node, path)
+        if code is not None and not _CURRENCY_RE.match(code):
+            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a 3-letter ISO-4217 currency code")
+            return None
+        return code
+
     def decimal(self, node, path: str, *, positive: bool = False) -> Decimal | None:
         sc = self.scalar(node, path)
         if sc is None:
@@ -293,14 +319,14 @@ class _Reader:
             return None
         return value
 
-    def integer(self, node, path: str, *, minimum: int) -> int | None:
+    def count(self, node, path: str) -> int | None:
         message = "expected an integer"
-        if isinstance(node, yaml.nodes.ScalarNode) and not node.style and _INT_RE.match(node.value):
+        if isinstance(node, ScalarNode) and not node.style and _INT_RE.match(node.value):
             value = Decimal(node.value)  # int() refuses literals past 4,300 digits
             if not exponent_in_range(value):
                 message = _EXPONENT_MESSAGE
-            elif value < minimum:
-                message = f"expected an integer >= {minimum}"
+            elif value < 1:
+                message = "expected an integer >= 1"
             else:
                 return int(value)
         self.err(node, path, ErrorKind.TYPE_MISMATCH, message)
@@ -347,348 +373,207 @@ class _Reader:
             return None
         return FeatureValue.text(value)
 
-    def name_list(self, node, path: str) -> list[tuple[str, yaml.nodes.Node]]:
-        if not isinstance(node, yaml.nodes.SequenceNode):
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a list of names")
-            return []
-        out = []
-        for item in node.value:
-            if not isinstance(item, yaml.nodes.ScalarNode):
-                self.err(item, path, ErrorKind.TYPE_MISMATCH, "expected a name")
-                continue
-            out.append((item.value, item))
-        return out
+    # -- the walk over the field table ------------------------------------
 
-    def identifier_key(self, key: str, key_node, path: str) -> bool:
-        if IDENTIFIER_RE.match(key):
-            return True
-        self.err(key_node, path, ErrorKind.TYPE_MISMATCH,
-                 "names must be identifiers (letters, digits, underscore; not starting with a digit)")
-        return False
+    def entity(self, cls, node, path: str) -> tuple[dict, bool]:
+        """An entity's field values by attribute, and whether every one read.
 
-    # -- document sections ----------------------------------------------
-
-    def document(self, root) -> Pricing | None:
-        fields = self.fields(root, "", _KEYS[Pricing])
+        Scalar fields are read first, then nested ones, each in table order.
+        A field that fails holds None; an absent optional field is left
+        out, to take the dataclass default.
+        """
+        fields = self.fields(node, path, _KEYS[cls])
         if fields is None:
-            return None
+            return {}, False
+        values = {}
+        ok = True
+        for key, attr, holds, required, read in _WALK[cls]:
+            item = fields.get(key)
+            if item is None and not required:
+                continue
+            at = f"{path}.{key}" if path else key
+            if item is None:
+                self.err(node, at, ErrorKind.MISSING_REQUIRED, f"missing required key {key!r}")
+                if cls is Feature:  # a feature without a type reports nothing more
+                    return values, False
+                ok = False
+                continue
+            if holds is FeatureValue:  # a feature's default, of the kind it declares
+                kind = _declared_kind(values)
+                if kind is None:  # its type or value type did not read
+                    return values, False
+                value = values[attr] = self.feature_value(item[1], at, kind)
+            else:
+                value = values[attr] = read(self, item[1], at)
+            if value is None:
+                ok = False
+        rule = _RULES.get(cls)
+        if rule is not None and not rule(self, values, fields, node, path):
+            ok = False
+        return values, ok
 
-        def require(key: str):
-            if key not in fields:
-                self.err(root, key, ErrorKind.MISSING_REQUIRED, f"missing required key {key!r}")
-                return None
-            return fields[key][1]
+    def nested(self, node, path: str, entity):
+        values, ok = self.entity(entity, node, path)
+        return entity(**values) if ok else None
 
-        saas_name = version = currency = None
-        node = require("saasName")
-        if node is not None:
-            saas_name = self.string(node, "saasName", nonempty=True)
-        node = require("version")
-        if node is not None:
-            version = self.string(node, "version")
-        node = require("currency")
-        if node is not None:
-            currency = self.string(node, "currency")
-            if currency is not None and not _CURRENCY_RE.match(currency):
-                self.err(node, "currency", ErrorKind.TYPE_MISMATCH,
-                         "expected a 3-letter ISO-4217 currency code")
-                currency = None
-        billing = None
-        node = require("billingPeriod")
-        if node is not None:
-            billing = self.period(node, "billingPeriod")
-        node = require("features")
-        features, feature_kinds = ({}, {})
-        if node is not None:
-            features, feature_kinds = self.features(node)
-        limits, limit_names = ({}, set())
-        if "usageLimits" in fields:
-            limits, limit_names = self.usage_limits(fields["usageLimits"][1], feature_kinds)
-        plans, plan_names = ({}, set())
-        if "plans" in fields:
-            plans, plan_names = self.plans(fields["plans"][1], feature_kinds, limit_names)
-        add_ons = {}
-        if "addOns" in fields:
-            add_ons = self.add_ons(fields["addOns"][1], feature_kinds, limit_names, plan_names)
-        if not plan_names and not add_ons:
-            self.err(root, "plans", ErrorKind.MISSING_REQUIRED,
-                     "a pricing needs at least one plan or add-on")
-
-        if self.errors:
-            return None
-        try:
-            return Pricing(
-                saas_name=saas_name,
-                version=version,
-                currency=currency,
-                billing_period=billing,
-                features=features,
-                usage_limits=limits,
-                plans=plans,
-                add_ons=add_ons,
-            )
-        except ModelError as exc:  # safety net; the walk above should catch everything
-            self.err(root, "", ErrorKind.TYPE_MISMATCH, str(exc))
-            return None
-
-    def period(self, node, path: str) -> Period | None:
-        fields = self.fields(node, path, _KEYS[Period])
-        if fields is None:
-            return None
-        value = unit = None
-        if "value" not in fields:
-            self.err(node, f"{path}.value", ErrorKind.MISSING_REQUIRED, "missing required key 'value'")
-        else:
-            value = self.integer(fields["value"][1], f"{path}.value", minimum=1)
-        if "unit" not in fields:
-            self.err(node, f"{path}.unit", ErrorKind.MISSING_REQUIRED, "missing required key 'unit'")
-        else:
-            unit = self.enum(fields["unit"][1], f"{path}.unit", PeriodUnit)
-        if value is None or unit is None:
-            return None
-        return Period(value, unit)
-
-    def features(self, node) -> tuple[dict[str, Feature], dict[str, ValueKind | None]]:
-        """Returns the clean catalog plus declared name -> kind (None if dirty)."""
-        catalog: dict[str, Feature] = {}
-        kinds: dict[str, ValueKind | None] = {}
-        items = self.mapping(node, "features")
+    def catalog(self, node, path: str, entry) -> dict:
+        """The entries that read, by name; every identifier declared goes to ``declared``."""
+        out = {}
+        items = self.mapping(node, path)
         if items is None:
-            return catalog, kinds
+            return out
+        declared = self.declared[entry]
         for name, key_node, value_node in items:
-            path = f"features.{name}"
-            if not self.identifier_key(name, key_node, path):
+            at = f"{path}.{name}"
+            if not IDENTIFIER_RE.match(name):
+                self.err(key_node, at, ErrorKind.TYPE_MISMATCH, "names must be identifiers "
+                         "(letters, digits, underscore; not starting with a digit)")
                 continue
-            kinds[name] = None
-            fields = self.fields(value_node, path, _KEYS[Feature])
-            if fields is None:
-                continue
-            description = ""
-            if "description" in fields:
-                description = self.string(fields["description"][1], f"{path}.description") or ""
-            if "type" not in fields:
-                self.err(value_node, f"{path}.type", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'type'")
-                continue
-            feature_type = self.enum(fields["type"][1], f"{path}.type", FeatureType)
-            value_kind = ValueKind.BOOLEAN
-            if "valueType" in fields:
-                value_kind = self.enum(fields["valueType"][1], f"{path}.valueType", ValueKind)
-            if feature_type is None or value_kind is None:
-                continue
-            kinds[name] = value_kind
-            default = default_value_for(value_kind)
-            if "defaultValue" in fields:
-                default = self.feature_value(fields["defaultValue"][1],
-                                             f"{path}.defaultValue", value_kind)
-                if default is None:
-                    continue
-            catalog[name] = Feature(
-                name=name,
-                feature_type=feature_type,
-                value_kind=value_kind,
-                default_value=default,
-                description=description,
-            )
-        return catalog, kinds
-
-    def usage_limits(self, node, feature_kinds) -> tuple[dict[str, UsageLimit], set[str]]:
-        catalog: dict[str, UsageLimit] = {}
-        names: set[str] = set()
-        items = self.mapping(node, "usageLimits")
-        if items is None:
-            return catalog, names
-        for name, key_node, value_node in items:
-            path = f"usageLimits.{name}"
-            if not self.identifier_key(name, key_node, path):
-                continue
-            if name in feature_kinds:
-                self.err(key_node, path, ErrorKind.DUPLICATE_KEY,
+            if entry is UsageLimit and name in self.declared[Feature]:
+                self.err(key_node, at, ErrorKind.DUPLICATE_KEY,
                          f"{name!r} is already the name of a feature")
                 continue
-            names.add(name)
-            fields = self.fields(value_node, path, _KEYS[UsageLimit])
-            if fields is None:
-                continue
-            description = ""
-            if "description" in fields:
-                description = self.string(fields["description"][1], f"{path}.description") or ""
-            kind = metric = default = None
-            if "type" not in fields:
-                self.err(value_node, f"{path}.type", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'type'")
-            else:
-                kind = self.enum(fields["type"][1], f"{path}.type", LimitKind)
-            if "metric" not in fields:
-                self.err(value_node, f"{path}.metric", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'metric'")
-            else:
-                metric = self.string(fields["metric"][1], f"{path}.metric", nonempty=True)
-            if "defaultValue" not in fields:
-                self.err(value_node, f"{path}.defaultValue", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'defaultValue'")
-            else:
-                default = self.decimal(fields["defaultValue"][1], f"{path}.defaultValue")
-            period = None
-            if "period" in fields:
-                period = self.period(fields["period"][1], f"{path}.period")
-            linked: list[str] = []
-            if "linkedFeatures" in fields:
-                for ref, ref_node in self.name_list(fields["linkedFeatures"][1],
-                                                    f"{path}.linkedFeatures"):
-                    if ref in feature_kinds:
-                        linked.append(ref)
-                    else:
-                        self.err(ref_node, f"{path}.linkedFeatures", ErrorKind.DANGLING_REFERENCE,
-                                 f"unknown feature {ref!r}")
-            if kind is None or metric is None or default is None:
-                continue
-            if kind is LimitKind.RENEWABLE and period is None:
-                if "period" not in fields:
-                    self.err(value_node, f"{path}.period", ErrorKind.MISSING_REQUIRED,
-                             "RENEWABLE limits need a period")
-                continue
-            if kind is LimitKind.NON_RENEWABLE and "period" in fields:
-                self.err(fields["period"][0], f"{path}.period", ErrorKind.TYPE_MISMATCH,
-                         "NON_RENEWABLE limits must not declare a period")
-                continue
-            if "period" in fields and period is None:
-                continue
-            catalog[name] = UsageLimit(
-                name=name,
-                kind=kind,
-                metric=metric,
-                default_value=default,
-                period=period,
-                linked_features=tuple(linked),
-                description=description,
-            )
-        return catalog, names
+            declared[name] = None
+            values, ok = self.entity(entry, value_node, at)
+            if entry is Feature:
+                declared[name] = _declared_kind(values)
+            if ok:
+                out[name] = entry(name=name, **values)
+        return out
 
-    def value_wrapper(self, node, path: str):
-        """The {value: ...} wrapper used by overrides, grants, and extensions."""
-        fields = self.fields(node, path, (WRAPPED_KEY,))
-        if fields is None:
-            return None
-        if "value" not in fields:
-            self.err(node, f"{path}.value", ErrorKind.MISSING_REQUIRED,
-                     "missing required key 'value'")
-            return None
-        return fields["value"][1]
-
-    def plans(self, node, feature_kinds, limit_names) -> tuple[dict[str, Plan], set[str]]:
-        catalog: dict[str, Plan] = {}
-        names: set[str] = set()
-        items = self.mapping(node, "plans")
-        if items is None:
-            return catalog, names
-        for name, key_node, value_node in items:
-            path = f"plans.{name}"
-            if not self.identifier_key(name, key_node, path):
-                continue
-            names.add(name)
-            fields = self.fields(value_node, path, _KEYS[Plan])
-            if fields is None:
-                continue
-            price = None
-            if "price" not in fields:
-                self.err(value_node, f"{path}.price", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'price'")
+    def name_list(self, node, path: str, entry) -> tuple[str, ...]:
+        """Names declared in a catalog; malformed items are reported before unknown names."""
+        if not isinstance(node, SequenceNode):
+            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a list of names")
+            return ()
+        items = []
+        for item in node.value:
+            if isinstance(item, ScalarNode):
+                items.append(item)
             else:
-                price = self.decimal(fields["price"][1], f"{path}.price")
-            overrides = self.feature_value_map(
-                fields.get("features", (None, None))[1], f"{path}.features", feature_kinds)
-            limit_overrides = self.limit_value_map(
-                fields.get("usageLimits", (None, None))[1], f"{path}.usageLimits", limit_names)
-            if price is None:
-                continue
-            catalog[name] = Plan(name=name, price=price,
-                                 feature_overrides=overrides, limit_overrides=limit_overrides)
-        return catalog, names
+                self.err(item, path, ErrorKind.TYPE_MISMATCH, "expected a name")
+        declared = self.declared[entry]
+        out = []
+        for item in items:
+            if item.value in declared:
+                out.append(item.value)
+            else:
+                self.err(item, path, ErrorKind.DANGLING_REFERENCE,
+                         f"unknown {_LABELS[entry]} {item.value!r}")
+        return tuple(out)
 
-    def feature_value_map(self, node, path: str, feature_kinds) -> dict[str, FeatureValue]:
-        out: dict[str, FeatureValue] = {}
-        if node is None:
-            return out
+    def value_map(self, node, path: str, holds: Values) -> dict:
+        """Values by names declared in a catalog, each written {value: ...}; those that read."""
+        out = {}
         items = self.mapping(node, path)
         if items is None:
             return out
-        for ref, key_node, value_node in items:
-            ref_path = f"{path}.{ref}"
-            if ref not in feature_kinds:
-                self.err(key_node, ref_path, ErrorKind.DANGLING_REFERENCE,
-                         f"unknown feature {ref!r}")
-                continue
-            inner = self.value_wrapper(value_node, ref_path)
-            if inner is None:
-                continue
-            value = self.feature_value(inner, f"{ref_path}.value", feature_kinds[ref])
-            if value is not None:
-                out[ref] = value
-        return out
-
-    def limit_value_map(self, node, path: str, limit_names, *, positive: bool = False) -> dict[str, Decimal]:
-        out: dict[str, Decimal] = {}
-        if node is None:
-            return out
-        items = self.mapping(node, path)
-        if items is None:
-            return out
-        for ref, key_node, value_node in items:
-            ref_path = f"{path}.{ref}"
-            if ref not in limit_names:
-                self.err(key_node, ref_path, ErrorKind.DANGLING_REFERENCE,
-                         f"unknown usage limit {ref!r}")
-                continue
-            inner = self.value_wrapper(value_node, ref_path)
-            if inner is None:
-                continue
-            value = self.decimal(inner, f"{ref_path}.value", positive=positive)
-            if value is not None:
-                out[ref] = value
-        return out
-
-    def add_ons(self, node, feature_kinds, limit_names, plan_names) -> dict[str, AddOn]:
-        catalog: dict[str, AddOn] = {}
-        items = self.mapping(node, "addOns")
-        if items is None:
-            return catalog
+        declared = self.declared[holds.entry]
+        read = _SCALARS.get(holds.holds)
         for name, key_node, value_node in items:
-            path = f"addOns.{name}"
-            if not self.identifier_key(name, key_node, path):
+            at = f"{path}.{name}"
+            if name not in declared:
+                self.err(key_node, at, ErrorKind.DANGLING_REFERENCE,
+                         f"unknown {_LABELS[holds.entry]} {name!r}")
                 continue
-            fields = self.fields(value_node, path, _KEYS[AddOn])
-            if fields is None:
+            wrapper = self.fields(value_node, at, (WRAPPED_KEY,))
+            if wrapper is None:
                 continue
-            price = None
-            if "price" not in fields:
-                self.err(value_node, f"{path}.price", ErrorKind.MISSING_REQUIRED,
-                         "missing required key 'price'")
+            at = f"{at}.{WRAPPED_KEY}"
+            if WRAPPED_KEY not in wrapper:
+                self.err(value_node, at, ErrorKind.MISSING_REQUIRED,
+                         f"missing required key {WRAPPED_KEY!r}")
+                continue
+            inner = wrapper[WRAPPED_KEY][1]
+            if read is None:  # feature values, of each feature's declared kind
+                value = self.feature_value(inner, at, declared[name])
             else:
-                price = self.decimal(fields["price"][1], f"{path}.price")
-            available: list[str] = []
-            if "availableFor" in fields:
-                for ref, ref_node in self.name_list(fields["availableFor"][1],
-                                                    f"{path}.availableFor"):
-                    if ref in plan_names:
-                        available.append(ref)
-                    else:
-                        self.err(ref_node, f"{path}.availableFor", ErrorKind.DANGLING_REFERENCE,
-                                 f"unknown plan {ref!r}")
-            grants = self.feature_value_map(
-                fields.get("features", (None, None))[1], f"{path}.features", feature_kinds)
-            extensions = self.limit_value_map(
-                fields.get("usageLimitExtensions", (None, None))[1],
-                f"{path}.usageLimitExtensions", limit_names, positive=True)
-            if not grants and not extensions:
-                self.err(value_node, path, ErrorKind.MISSING_REQUIRED,
-                         "an add-on must grant at least one feature or extend at least one limit")
-                continue
-            if price is None:
-                continue
-            catalog[name] = AddOn(name=name, price=price, available_for=tuple(available),
-                                  feature_grants=grants, limit_extensions=extensions)
-        return catalog
+                value = read(self, inner, at)
+            if value is not None:
+                out[name] = value
+        return out
+
+    # -- rules that join fields, checked once an entity's fields are read --
+
+    def pricing_rule(self, values: dict, fields: dict, node, path: str) -> bool:
+        if self.declared[Plan] or values.get("add_ons"):
+            return True
+        self.err(node, _PLANS_KEY, ErrorKind.MISSING_REQUIRED,
+                 "a pricing needs at least one plan or add-on")
+        return False
+
+    def limit_rule(self, values: dict, fields: dict, node, path: str) -> bool:
+        kind = values.get("kind")
+        if kind is None or values.get("metric") is None or values.get("default_value") is None:
+            return False
+        at = f"{path}.{_PERIOD_KEY}"
+        if kind is LimitKind.RENEWABLE and _PERIOD_KEY not in fields:
+            self.err(node, at, ErrorKind.MISSING_REQUIRED, "RENEWABLE limits need a period")
+            return False
+        if kind is LimitKind.NON_RENEWABLE and _PERIOD_KEY in fields:
+            self.err(fields[_PERIOD_KEY][0], at, ErrorKind.TYPE_MISMATCH,
+                     "NON_RENEWABLE limits must not declare a period")
+            return False
+        return True
+
+    def add_on_rule(self, values: dict, fields: dict, node, path: str) -> bool:
+        if values.get("feature_grants") or values.get("limit_extensions"):
+            return True
+        self.err(node, path, ErrorKind.MISSING_REQUIRED,
+                 "an add-on must grant at least one feature or extend at least one limit")
+        return False
+
+
+def _declared_kind(values: dict) -> ValueKind | None:
+    """The kind of a feature's values: known once its type and value type have read."""
+    if values.get("feature_type") is None:
+        return None
+    return values.get("value_kind", Feature.value_kind)
+
+
+# How the walk reads each scalar a field may hold; feature values, whose
+# kind depends on the feature, are read by ``entity`` and ``value_map``.
+_SCALARS = {
+    str: _Reader.string,
+    NONBLANK: partial(_Reader.string, nonempty=True),
+    CURRENCY: _Reader.currency,
+    Decimal: _Reader.decimal,
+    POSITIVE: partial(_Reader.decimal, positive=True),
+    int: _Reader.count,
+    **{enum: partial(_Reader.enum, enum_cls=enum)
+       for enum in (FeatureType, ValueKind, LimitKind, PeriodUnit)},
+}
+
+
+def _reader_of(holds):
+    """How the walk reads what a field holds: a function of (reader, node, path)."""
+    if holds in _SCALARS:
+        return _SCALARS[holds]
+    if type(holds) is Names:
+        return partial(_Reader.name_list, entry=holds.entry)
+    if type(holds) is Values:
+        return partial(_Reader.value_map, holds=holds)
+    if holds in ENTRIES:
+        return partial(_Reader.catalog, entry=holds)
+    return partial(_Reader.nested, entity=holds)
+
+
+def _is_nested(field) -> bool:
+    return not (field.holds in _SCALARS or field.holds is FeatureValue)
+
+
+# The fields of each entity a document holds, in the order the walk reads
+# them, as (key, attribute, what it holds, whether it is required, reader).
+_WALK = {
+    entity: tuple((field.key, field.attr, field.holds, not field.omit, _reader_of(field.holds))
+                  for field in sorted(FIELDS[entity], key=_is_nested))
+    for entity in (Pricing, Period, *ENTRIES)
+}
+_RULES = {Pricing: _Reader.pricing_rule, UsageLimit: _Reader.limit_rule,
+          AddOn: _Reader.add_on_rule}
+_LABELS = {Feature: "feature", UsageLimit: "usage limit", Plan: "plan"}
+_PLANS_KEY = next(field.key for field in FIELDS[Pricing] if field.holds is Plan)
+_PERIOD_KEY = next(field.key for field in FIELDS[UsageLimit] if field.holds is Period)
 
 
 # -- canonical serialization ------------------------------------------------
@@ -758,7 +643,7 @@ def serialize(pricing: Pricing) -> str:
 
 
 def _emit_fields(entity, fields, pad: str, lines: list[str]) -> None:
-    for key, attr, _, omit in fields:
+    for key, attr, _, _, omit in fields:
         value = getattr(entity, attr)
         if value in omit:
             continue

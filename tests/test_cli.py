@@ -3,6 +3,7 @@
 import json
 import os
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -142,17 +143,17 @@ class TestConsume:
                            "--at", "2024-02-01T00:00:00Z")
         assert code == 0
         assert out.strip() == "990"
-        state = json.loads(open(state_file).read())
+        state = json.loads(Path(state_file).read_text())
         assert state["usage"]["maxAssistantsPerMeeting"]["used"] == "10"
 
     def test_quota_exceeded_leaves_file_untouched(self, capsys, zoom_file, state_file):
-        before = open(state_file, "rb").read()
+        before = Path(state_file).read_bytes()
         code, _, err = run(capsys, "consume", zoom_file, "--subscription", state_file,
                            "--limit", "maxAssistantsPerMeeting", "--amount", "1001",
                            "--at", "2024-02-01T00:00:00Z")
         assert code == 4
         assert "quota exceeded" in err
-        assert open(state_file, "rb").read() == before
+        assert Path(state_file).read_bytes() == before
 
     def test_window_lapse_across_invocations(self, capsys, zoom_file, state_file):
         code, out, _ = run(capsys, "consume", zoom_file, "--subscription", state_file,
@@ -164,19 +165,19 @@ class TestConsume:
                            "--limit", "maxAssistantsPerMeeting", "--amount", "1",
                            "--at", "2024-02-29T12:00:00Z")
         assert (code, out.strip()) == (0, "999")
-        state = json.loads(open(state_file).read())
+        state = json.loads(Path(state_file).read_text())
         entry = state["usage"]["maxAssistantsPerMeeting"]
         assert entry == {"used": "1", "windowStart": "2024-02-29T12:00:00Z", "windowIndex": 1}
 
     def test_amount_exponent_out_of_range_exit_3(self, capsys, zoom_file, state_file):
-        before = open(state_file, "rb").read()
+        before = Path(state_file).read_bytes()
         for amount in ("1e1001", "1e-1001", "1e999999999", "1e-999999999"):
             code, out, err = run(capsys, "consume", zoom_file, "--subscription", state_file,
                                  "--limit", "maxAssistantsPerMeeting", "--amount", amount,
                                  "--at", "2024-02-01T00:00:00Z")
             assert (code, out) == (3, "")
             assert err.startswith("error: --amount") and "exponent" in err
-        assert open(state_file, "rb").read() == before
+        assert Path(state_file).read_bytes() == before
 
     def test_malformed_state_exit_3(self, capsys, zoom_file, tmp_path):
         bad = tmp_path / "state.json"
@@ -186,7 +187,7 @@ class TestConsume:
         assert code == 3
 
     def test_state_field_of_the_wrong_type_exit_3(self, capsys, zoom_file, state_file):
-        state = json.loads(open(state_file, encoding="utf-8").read())
+        state = json.loads(Path(state_file).read_text(encoding="utf-8"))
         for key, value in [("startInstant", None), ("plan", ["PRO"]), ("addOns", [{"a": 1}])]:
             with open(state_file, "w", encoding="utf-8") as fh:
                 json.dump({**state, key: value}, fh)
@@ -197,7 +198,7 @@ class TestConsume:
 
     def test_interrupted_write_preserves_state(self, capsys, zoom_file, state_file,
                                                monkeypatch):
-        before = open(state_file, "rb").read()
+        before = Path(state_file).read_bytes()
 
         def boom(src, dst):
             raise KeyboardInterrupt
@@ -207,7 +208,7 @@ class TestConsume:
             main(["consume", zoom_file, "--subscription", state_file,
                   "--limit", "maxAssistantsPerMeeting", "--amount", "5"])
         monkeypatch.undo()
-        assert open(state_file, "rb").read() == before
+        assert Path(state_file).read_bytes() == before
         json.loads(before)  # still parseable
         leftovers = [f for f in os.listdir(os.path.dirname(state_file))
                      if f.endswith(".tmp")]

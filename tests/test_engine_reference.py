@@ -1,9 +1,9 @@
-"""The subscription engine, ``impact``, R2 and the stats counts against
-their whole-catalog algorithm.
+"""The subscription engine, ``impact``, R1, R2, the stats counts and
+``classify_features`` against their whole-catalog algorithm.
 
-The engine reads each value it needs from a per-pricing index, and
+The engine reads each value it needs from a per-pricing index,
 reachability is set algebra over the features each plan and add-on makes
-truthy. The references below are the algorithms they replaced, written the
+truthy, and R1 and ``classify_features`` compare plans' override maps. The references below are the algorithms they replaced, written the
 slow way: resolve the whole plan with ``resolve_plan``, scan every feature
 and every add-on in catalog order, and step every periodic window with
 ``latest_window_index``. Agreement covers values and their exponents, the
@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import replace
 from datetime import timedelta
 from decimal import Decimal
-from itertools import cycle
+from itertools import combinations, cycle
 
 import pytest
 
@@ -27,6 +27,7 @@ from pricebook import (
     ChangeSet,
     EvaluationResult,
     Feature,
+    FeatureClass,
     FeatureType,
     FeatureValue,
     LimitKind,
@@ -39,7 +40,9 @@ from pricebook import (
     UsageLimit,
     UsageState,
     ValidationReport,
+    ValueKind,
     Violation,
+    classify_features,
     create_subscription,
     diff,
     effective_limit,
@@ -359,4 +362,96 @@ def test_r2_and_stats_equal_whole_catalog_reference():
         seen["a plan without overrides"] += any(
             not plan.feature_overrides for plan in pricing.plans.values())
         seen["orphans"] += bool(orphans)
+    assert min(seen.values()) >= 5, seen
+
+
+# -- R1 and classification -----------------------------------------------------
+
+def reference_duplicates(pricing):
+    """R1 violations the slow way: every pair of plans, resolved in full."""
+    resolved = {name: resolve_plan(pricing, name) for name in pricing.plans}
+    return [
+        Violation(Rule.R1_DUPLICATE_PLANS, (a, b),
+                  f"plans {a!r} and {b!r} resolve to identical features and usage limits")
+        for a, b in combinations(pricing.plans, 2)
+        if resolved[a].feature_values == resolved[b].feature_values
+        and resolved[a].limit_values == resolved[b].limit_values
+    ]
+
+
+def reference_classes(pricing):
+    """``classify_features`` the slow way: each feature across every resolved plan."""
+    resolved = [resolve_plan(pricing, name) for name in pricing.plans]
+    return {
+        name: FeatureClass.COMMON
+        if all(r.feature_values[name] == resolved[0].feature_values[name] for r in resolved)
+        else FeatureClass.SPECIFIC
+        for name in pricing.features
+    }
+
+
+def _respelled(plan, name):
+    """A copy of ``plan`` named ``name`` whose numbers gain a trailing zero: 5 reads 5.0."""
+    def respell(value):
+        text = format(value, "f")
+        return Decimal(text + ("0" if "." in text else ".0"))
+
+    features = {f: FeatureValue.numeric(respell(v.value)) if v.kind is ValueKind.NUMERIC else v
+                for f, v in plan.feature_overrides.items()}
+    return Plan(name, plan.price, features,
+                {limit: respell(v) for limit, v in plan.limit_overrides.items()})
+
+
+def _spelling_and_kind_pricing():
+    """Plans whose overrides differ only in spelling (5, 5.0), or hold the same
+    payload in two kinds (true, 1), which Python alone counts as equal."""
+    features = {"flag": Feature("flag", FeatureType.DOMAIN),
+                "amount": Feature("amount", FeatureType.DOMAIN, ValueKind.NUMERIC),
+                "everywhere": Feature("everywhere", FeatureType.DOMAIN, ValueKind.NUMERIC)}
+    limits = {"calls": UsageLimit("calls", LimitKind.NON_RENEWABLE, "call", Decimal(1))}
+
+    def plan(name, limit=None, **values):
+        values = {"everywhere": FeatureValue.numeric("5" + ".0" * (len(name) % 2)), **values}
+        return Plan(name, Decimal(1), values, {"calls": Decimal(limit)} if limit else {})
+
+    plans = {
+        "FIVE": plan("FIVE", "5", amount=FeatureValue.numeric("5")),
+        "FIVE_0": plan("FIVE_0", "5.00", amount=FeatureValue.numeric("5.0")),
+        "FLAG": plan("FLAG", flag=TRUE),
+        "AMOUNT_ONE": plan("AMOUNT_ONE", amount=FeatureValue.numeric(1)),
+        "DEFAULTS": plan("DEFAULTS", "1", amount=FeatureValue.numeric(0), flag=FALSE),
+        "PLAIN": plan("PLAIN"),
+    }
+    return Pricing("Spellings", "1", "USD", Period(1, PeriodUnit.MONTH), features, limits, plans)
+
+
+def test_r1_and_classes_equal_whole_catalog_reference():
+    pricing = _spelling_and_kind_pricing()
+    duplicates = [v for v in validate(pricing).violations if v.rule is Rule.R1_DUPLICATE_PLANS]
+    assert [v.subjects for v in duplicates] == [("DEFAULTS", "PLAIN"), ("FIVE", "FIVE_0")]
+    assert duplicates == sorted(reference_duplicates(pricing), key=lambda v: v.subjects)
+    assert classify_features(pricing) == reference_classes(pricing) == {
+        "flag": FeatureClass.SPECIFIC, "amount": FeatureClass.SPECIFIC,
+        "everywhere": FeatureClass.COMMON}
+
+    rng = random.Random(604)
+    seen = Counter()
+    for _ in range(150):
+        pricing = random_pricing(rng)
+        if pricing.plans and rng.random() < 0.6:  # a copy of a plan, its numbers respelled
+            plan = rng.choice(list(pricing.plans.values()))
+            pricing = replace(pricing, plans={**pricing.plans,
+                                              "RESPELLED": _respelled(plan, "RESPELLED")})
+            seen["respelled"] += 1
+        report = validate(pricing)
+        duplicates = reference_duplicates(pricing)
+        want = sorted([v for v in report.violations if v.rule is not Rule.R1_DUPLICATE_PLANS]
+                      + duplicates, key=lambda v: (v.rule.value, v.subjects[0]))
+        assert report == ValidationReport(valid=not want, violations=tuple(want))
+        if pricing.plans:
+            classes = classify_features(pricing)
+            assert list(classes.items()) == list(reference_classes(pricing).items())
+            seen["common"] += FeatureClass.COMMON in classes.values()
+            seen["specific"] += FeatureClass.SPECIFIC in classes.values()
+        seen["duplicates"] += bool(duplicates)
     assert min(seen.values()) >= 5, seen

@@ -3,10 +3,13 @@
 ``OLD`` and ``NEW`` are built so that ``diff(OLD, NEW)`` raises every
 change kind, with enum, period, list, feature-value and null payloads on
 both sides; ``RICH`` and ``BARE`` take every branch of ``serialize`` that
-omits a schema default or quotes a string.
+omits a schema default or quotes a string; ``ERROR_DOCS`` pins the text and
+the order of every error ``parse`` reports on documents with several.
 """
 
-from pricebook import ChangeKind, diff, parse, serialize
+import pytest
+
+from pricebook import ChangeKind, DocumentError, diff, parse, serialize, yamlio
 
 OLD = """\
 saasName: Acme
@@ -395,3 +398,230 @@ def test_serialize_takes_every_omit_and_quote_branch_byte_for_byte():
     assert serialize(parse(RICH)) == RICH_CANONICAL
     assert serialize(parse(BARE)) == BARE_CANONICAL
     assert serialize(parse(RICH_CANONICAL)) == RICH_CANONICAL
+
+
+# -- parse errors, in the order they are reported ---------------------------
+HEAD = """\
+saasName: Acme
+version: v1
+currency: USD
+billingPeriod: {value: 1, unit: MONTH}
+"""
+
+# Each document with the exact text of every error ``parse`` reports, in
+# order: an entity's scalar fields first, then its nested ones, each in
+# table order; a feature without a type reports nothing more, and one whose
+# type or value type is unreadable does not read its default value.
+ERROR_DOCS = {
+    "feature_without_type": (
+        HEAD + """\
+features:
+  typeless:
+    description: [not, text]
+    valueType: NUMBERS
+    defaultValue: abc
+  badValueType:
+    type: DOMAIN
+    valueType: NUMBERS
+    defaultValue: [1]
+  badBoth:
+    type: DOMAINS
+    valueType: TEXTS
+    defaultValue: {x: 1}
+  fine:
+    type: DOMAIN
+    defaultValue: 1
+plans:
+  P:
+    price: 0
+    features:
+      typeless: {value: [1]}
+      badBoth: {value: true}
+""",
+        [
+            '7:18 features.typeless.description: TYPE_MISMATCH: expected a scalar value',
+            "7:5 features.typeless.type: MISSING_REQUIRED: missing required key 'type'",
+            "12:16 features.badValueType.valueType: BAD_ENUM: 'NUMBERS' is not one of: BOOLEAN, NUMERIC, TEXT",
+            "15:11 features.badBoth.type: BAD_ENUM: 'DOMAINS' is not one of: DOMAIN, INTEGRATION, AUTOMATION, MANAGEMENT, INFORMATION, GUARANTEE, SUPPORT, PAYMENT",
+            "16:16 features.badBoth.valueType: BAD_ENUM: 'TEXTS' is not one of: BOOLEAN, NUMERIC, TEXT",
+            '20:19 features.fine.defaultValue: TYPE_MISMATCH: expected true or false',
+            '25:25 plans.P.features.typeless.value: TYPE_MISMATCH: expected a scalar value',
+        ],
+    ),
+    "renewable_limit": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN, defaultValue: true}
+usageLimits:
+  window:
+    type: RENEWABLE
+    metric: call
+    period: {value: x, unit: DAY}
+    defaultValue: -1
+    linkedFeatures: [f, nope]
+  fixed:
+    type: NON_RENEWABLE
+    metric: seat
+    period: {value: 1, unit: DAY}
+    defaultValue: 1
+  unwindowed:
+    type: RENEWABLE
+    metric: call
+    defaultValue: 1
+plans:
+  P: {price: 0}
+""",
+        [
+            '12:19 usageLimits.window.defaultValue: TYPE_MISMATCH: expected a number >= 0',
+            '11:21 usageLimits.window.period.value: TYPE_MISMATCH: expected an integer',
+            "13:25 usageLimits.window.linkedFeatures: DANGLING_REFERENCE: unknown feature 'nope'",
+            '17:5 usageLimits.fixed.period: TYPE_MISMATCH: NON_RENEWABLE limits must not declare a period',
+            '20:5 usageLimits.unwindowed.period: MISSING_REQUIRED: RENEWABLE limits need a period',
+        ],
+    ),
+    "limit_without_type": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN, defaultValue: true}
+usageLimits:
+  untyped:
+    description: 7
+    metric: ""
+    period: {value: 0}
+    defaultValue: -1
+    linkedFeatures: [nope, f, [x]]
+plans:
+  P:
+    price: -1
+    usageLimits:
+      untyped: {value: x}
+""",
+        [
+            "9:5 usageLimits.untyped.type: MISSING_REQUIRED: missing required key 'type'",
+            '10:13 usageLimits.untyped.metric: TYPE_MISMATCH: must be a non-empty string',
+            '12:19 usageLimits.untyped.defaultValue: TYPE_MISMATCH: expected a number >= 0',
+            '11:21 usageLimits.untyped.period.value: TYPE_MISMATCH: expected an integer >= 1',
+            "11:13 usageLimits.untyped.period.unit: MISSING_REQUIRED: missing required key 'unit'",
+            '13:31 usageLimits.untyped.linkedFeatures: TYPE_MISMATCH: expected a name',
+            "13:22 usageLimits.untyped.linkedFeatures: DANGLING_REFERENCE: unknown feature 'nope'",
+            '16:12 plans.P.price: TYPE_MISMATCH: expected a number >= 0',
+            '18:24 plans.P.usageLimits.untyped.value: TYPE_MISMATCH: expected a number',
+        ],
+    ),
+    "limit_named_like_feature": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN, defaultValue: true}
+usageLimits:
+  f:
+    type: NON_RENEWABLE
+    metric: seat
+    defaultValue: 1
+  9bad: {}
+plans:
+  P:
+    price: 0
+    usageLimits:
+      f: {value: 1}
+""",
+        [
+            "8:3 usageLimits.f: DUPLICATE_KEY: 'f' is already the name of a feature",
+            '12:3 usageLimits.9bad: TYPE_MISMATCH: names must be identifiers (letters, digits, underscore; not starting with a digit)',
+            "17:7 plans.P.usageLimits.f: DANGLING_REFERENCE: unknown usage limit 'f'",
+        ],
+    ),
+    "add_on_with_only_bad_grants": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN}
+usageLimits:
+  l: {type: NON_RENEWABLE, metric: seat, defaultValue: 1}
+addOns:
+  extra:
+    price: 1
+    availableFor: [NOPE]
+    features:
+      nope: {value: true}
+      f: {value: 3}
+    usageLimitExtensions:
+      l: {value: 0}
+      m: {value: 1}
+""",
+        [
+            "12:20 addOns.extra.availableFor: DANGLING_REFERENCE: unknown plan 'NOPE'",
+            "14:7 addOns.extra.features.nope: DANGLING_REFERENCE: unknown feature 'nope'",
+            '15:18 addOns.extra.features.f.value: TYPE_MISMATCH: expected true or false',
+            '17:18 addOns.extra.usageLimitExtensions.l.value: TYPE_MISMATCH: expected a number > 0',
+            "18:7 addOns.extra.usageLimitExtensions.m: DANGLING_REFERENCE: unknown usage limit 'm'",
+            '11:5 addOns.extra: MISSING_REQUIRED: an add-on must grant at least one feature or extend at least one limit',
+            '1:1 plans: MISSING_REQUIRED: a pricing needs at least one plan or add-on',
+        ],
+    ),
+    "lowercase_currency": (
+        """\
+saasName: " "
+version: 1.0
+currency: usd
+billingPeriod: {value: 0, unit: MONTHS}
+features: []
+plans:
+  P: {price: free}
+""",
+        [
+            '1:11 saasName: TYPE_MISMATCH: must be a non-empty string',
+            '3:11 currency: TYPE_MISMATCH: expected a 3-letter ISO-4217 currency code',
+            '4:24 billingPeriod.value: TYPE_MISMATCH: expected an integer >= 1',
+            "4:33 billingPeriod.unit: BAD_ENUM: 'MONTHS' is not one of: DAY, WEEK, MONTH, YEAR",
+            '5:11 features: TYPE_MISMATCH: expected a mapping',
+            '7:14 plans.P.price: TYPE_MISMATCH: expected a number',
+        ],
+    ),
+    "value_wrappers": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN}
+usageLimits:
+  l: {type: NON_RENEWABLE, metric: seat, defaultValue: 1}
+plans:
+  P:
+    price: 0
+    features:
+      f: {valu: true}
+    usageLimits:
+      l: {}
+  Q:
+    price: 0
+    features:
+      f: [true]
+    usageLimits:
+      l: {value: 2, value: 3}
+  R:
+    price: 0
+    features:
+      f: {value: true, extra: 1}
+    usageLimits:
+      l: {[value]: 2}
+""",
+        [
+            "13:11 plans.P.features.f.valu: UNKNOWN_KEY: unknown key 'valu'",
+            "13:10 plans.P.features.f.value: MISSING_REQUIRED: missing required key 'value'",
+            "15:10 plans.P.usageLimits.l.value: MISSING_REQUIRED: missing required key 'value'",
+            '19:10 plans.Q.features.f: TYPE_MISMATCH: expected a mapping',
+            "21:21 plans.Q.usageLimits.l.value: DUPLICATE_KEY: duplicate key 'value'",
+            "25:24 plans.R.features.f.extra: UNKNOWN_KEY: unknown key 'extra'",
+            '27:11 plans.R.usageLimits.l: TYPE_MISMATCH: mapping keys must be scalars',
+            "27:10 plans.R.usageLimits.l.value: MISSING_REQUIRED: missing required key 'value'",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default-loader", "pure-loader"])
+@pytest.mark.parametrize("name", list(ERROR_DOCS))
+def test_parse_errors_byte_for_byte_in_order(name, pure, monkeypatch):
+    if pure:
+        monkeypatch.setattr(yamlio, "_LIBYAML_LOADER", None)
+    text, want = ERROR_DOCS[name]
+    with pytest.raises(DocumentError) as excinfo:
+        parse(text)
+    assert [str(error) for error in excinfo.value.errors] == want

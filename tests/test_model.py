@@ -8,10 +8,12 @@ from decimal import Decimal
 import pytest
 
 from pricebook import (
+    AddOn,
     Feature,
     FeatureClass,
     FeatureType,
     FeatureValue,
+    LimitKind,
     ModelError,
     NoPlansError,
     Period,
@@ -19,6 +21,7 @@ from pricebook import (
     Plan,
     Pricing,
     UnknownPlanError,
+    UsageLimit,
     ValueKind,
     classify_features,
     create_subscription,
@@ -34,7 +37,7 @@ from pricebook import (
 from support import random_pricing
 
 
-def mini(plans=None, features=None, add_ons=None):
+def mini(plans=None, features=None, add_ons=None, usage_limits=None):
     return Pricing(
         saas_name="Mini",
         version="1",
@@ -44,6 +47,7 @@ def mini(plans=None, features=None, add_ons=None):
             "thing": Feature(name="thing", feature_type=FeatureType.DOMAIN,
                              default_value=FeatureValue.boolean(True)),
         },
+        usage_limits=usage_limits or {},
         plans=plans if plans is not None else {"ONLY": Plan(name="ONLY", price=Decimal(0))},
         add_ons=add_ons or {},
     )
@@ -101,6 +105,36 @@ class TestConstruction:
         with pytest.raises(ModelError):
             mini(plans={"P": Plan(name="P", price=Decimal(0),
                                   feature_overrides={"ghost": FeatureValue.boolean(True)})})
+
+    def test_errors_name_the_first_unknown_name_in_declaration_order(self):
+        # The names reported must not depend on the order a set yields
+        # them in, which changes with the interpreter's string hash seed.
+        for k in range(20):
+            ghosts = tuple(f"ghost{k}_{i}" for i in range(6))
+            limit = UsageLimit(name="calls", kind=LimitKind.NON_RENEWABLE, metric="call",
+                               linked_features=ghosts)
+            with pytest.raises(ModelError, match=f"links unknown feature '{ghosts[0]}'$"):
+                mini(usage_limits={"calls": limit})
+            add_on = AddOn(name="extra", price=Decimal(1), available_for=ghosts,
+                           feature_grants={"thing": FeatureValue.boolean(True)})
+            with pytest.raises(ModelError, match=f"references unknown plan '{ghosts[0]}'$"):
+                mini(add_ons={"extra": add_on})
+
+    def test_a_raw_value_for_a_feature_value_is_a_model_error(self):
+        with pytest.raises(ModelError):
+            mini(plans={"P": Plan(name="P", price=Decimal(0), feature_overrides={"thing": True})})
+        with pytest.raises(ModelError):
+            mini(add_ons={"extra": AddOn(name="extra", price=Decimal(1),
+                                         feature_grants={"thing": True})})
+
+    def test_a_limit_override_must_be_a_decimal_even_when_it_equals_the_default(self):
+        limit = UsageLimit(name="calls", kind=LimitKind.NON_RENEWABLE, metric="call",
+                           default_value=Decimal(5))
+        for value in (5, 6):
+            with pytest.raises(ModelError, match="must be a Decimal"):
+                mini(usage_limits={"calls": limit},
+                     plans={"P": Plan(name="P", price=Decimal(0),
+                                      limit_overrides={"calls": value})})
 
     def test_redundant_override_dropped(self):
         p = mini(plans={"P": Plan(name="P", price=Decimal(0),

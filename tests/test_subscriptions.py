@@ -82,6 +82,18 @@ class TestCreate:
         with pytest.raises(AddOnNotAvailableError):
             create_subscription(zoom, "BASIC", ["hugeMeetings"], T0)
 
+    def test_add_ons_are_checked_in_each_callers_order(self, zoom, pro_huge):
+        # A new subscription checks its add-ons in name order, a state file in its own.
+        for add_ons in (["zz", "hugeMeetings"], ["hugeMeetings", "zz"]):
+            with pytest.raises(AddOnNotAvailableError, match="hugeMeetings"):
+                create_subscription(zoom, "BASIC", add_ons, T0)
+        state = json.loads(subscription_to_json(zoom, pro_huge))
+        for add_ons, error in ((["zz", "hugeMeetings"], UnknownAddOnError),
+                               (["hugeMeetings", "zz"], AddOnNotAvailableError)):
+            with pytest.raises(error):
+                subscription_from_json(zoom, json.dumps({**state, "plan": "BASIC",
+                                                         "addOns": add_ons}))
+
 
 class TestEffectiveLimit:
     def test_extension_is_additive(self, zoom, pro_huge):
