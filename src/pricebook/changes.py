@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import UnknownPlanError
-from .model import FIELDS, ChangeKind, Plan, Pricing, to_json, truthy_in_plan
+from .model import _CATALOG_ATTR, FIELDS, ChangeKind, Plan, Pricing, to_json, truthy_in_plan
 from .subscriptions import Subscription
 
 __all__ = ["ChangeKind", "Change", "ChangeSet", "diff", "impact"]
@@ -93,11 +93,6 @@ class ChangeSet:
         if not self.changes:
             return ""
         return "\n".join(json.dumps(c.to_dict()) for c in self.changes) + "\n"
-
-
-# Pricing attribute of each catalog, by its entry type: a plan's map
-# overrides the defaults of the catalog its values are keyed by.
-_CATALOG_ATTR = {field.holds: field.attr for field in FIELDS[Pricing]}
 
 
 def diff(old: Pricing, new: Pricing) -> ChangeSet:

@@ -47,6 +47,7 @@ from .errors import (
 )
 from .model import MAX_EXPONENT, Pricing, exponent_in_range, pricing_stats
 from .subscriptions import (
+    LimitStatus,
     Subscription,
     create_subscription,
     effective_limit,
@@ -234,31 +235,18 @@ def cmd_consume(args) -> int:
     now = _parse_at(args.at, fallback=format_instant(subscription.start_instant))
     try:
         updated = record_usage(pricing, subscription, args.limit, amount, now)
-    except QuotaExceededError as exc:
-        message = (
-            f"error: quota exceeded for {exc.limit!r}: effective={exc.effective} "
-            f"used={exc.used} requested={exc.requested}"
-        )
-        raise _Fail(ExitCode.EVALUATION, message) from None
-    except UnknownLimitError as exc:
+    except (QuotaExceededError, UnknownLimitError) as exc:
         raise _Fail(ExitCode.EVALUATION, f"error: {exc}") from None
-    except NonPositiveAmountError as exc:
-        raise _Fail(ExitCode.USAGE, f"error: {exc}") from None
-    except ClockBeforeStartError as exc:
+    except (NonPositiveAmountError, ClockBeforeStartError) as exc:
         raise _Fail(ExitCode.USAGE, f"error: {exc}") from None
     _atomic_write(args.subscription, subscription_to_json(pricing, updated))
     effective = effective_limit(pricing, updated, args.limit)
     used = updated.usage[args.limit].used
-    remaining = effective - used
+    status = LimitStatus(args.limit, effective, used, effective - used)
     if args.format == "json":
-        print(json.dumps({
-            "limit": args.limit,
-            "effective": format(effective, "f"),
-            "used": format(used, "f"),
-            "remaining": format(remaining, "f"),
-        }, indent=2))
+        print(json.dumps(status.to_dict(), indent=2))
     else:
-        print(format(remaining, "f"))
+        print(format(status.remaining, "f"))
     return ExitCode.OK
 
 

@@ -1,16 +1,17 @@
 """In-memory model of a SaaS pricing: plans, add-ons, features, usage limits.
 
-All objects are frozen dataclasses. The ``Pricing`` constructor enforces
-every structural invariant on its input as given, so any ``Pricing`` you
-can hold is internally consistent: names are unique, every reference
-resolves, and every value matches its declared kind. It then canonicalizes
-(plan overrides exactly equal to the catalog default are dropped, since
-they change nothing) and makes every map it holds read-only, its own and
-those of its plans and add-ons. A ``Pricing`` cannot change after
-construction, which is what lets the subscription engine build its lookup
-index once per pricing, on first use, and keep it. ``Plan`` and ``AddOn``
-objects built by hand keep the plain dicts they were given until a
-``Pricing`` takes them in.
+All objects are frozen dataclasses. Each constructor checks every field
+against what the field table ``FIELDS`` says it holds, by the parser's own
+rules (``out_of_range``), and ``Pricing`` checks what joins entries: map
+keys are names, names are unique, references resolve, plan and add-on
+values have their feature's kind. So a ``Pricing`` refuses exactly what a
+document cannot say, save a blank limit metric, which ``validate`` reports
+as R3B. It then canonicalizes (plan overrides exactly equal to the catalog
+default are dropped, since they change nothing) and makes every map it
+holds read-only, its own and those of its plans and add-ons, which is what
+lets the subscription engine build its lookup index once per pricing, on
+first use, and keep it. ``Plan`` and ``AddOn`` objects built by hand keep
+the plain dicts they were given until a ``Pricing`` takes them in.
 
 Numbers are ``decimal.Decimal`` throughout. Documents round-trip exactly
 and equality never suffers binary floating point surprises.
@@ -46,8 +47,6 @@ __all__ = [
     "classify_features",
     "pricing_stats",
 ]
-
-IDENTIFIER_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 # The widest exponent a number may carry, either way: the power of ten of
 # its leading digit (1e3 and 1234 have 3, 0.05 has -2). Fixed-point text
@@ -147,19 +146,12 @@ class FeatureValue:
     value: bool | Decimal | str
 
     def __post_init__(self) -> None:
-        if self.kind is ValueKind.BOOLEAN:
-            if not isinstance(self.value, bool):
-                raise ModelError(f"BOOLEAN value must be a bool, got {self.value!r}")
-        elif self.kind is ValueKind.NUMERIC:
-            if isinstance(self.value, bool) or not isinstance(self.value, Decimal):
-                raise ModelError(f"NUMERIC value must be a Decimal, got {self.value!r}")
-            if not self.value.is_finite() or self.value < 0:
-                raise ModelError(f"NUMERIC value must be finite and >= 0, got {self.value}")
-        elif self.kind is ValueKind.TEXT:
-            if not isinstance(self.value, str):
-                raise ModelError(f"TEXT value must be a str, got {self.value!r}")
-        else:
-            raise ModelError(f"unknown value kind {self.kind!r}")
+        kind = self.kind
+        payload = (bool if kind is ValueKind.BOOLEAN else Decimal if kind is ValueKind.NUMERIC
+                   else str if kind is ValueKind.TEXT else None)
+        problem = _problem(ValueKind, kind) if payload is None else _problem(payload, self.value)
+        if problem is not None:
+            raise ModelError(f"feature value: {problem}")
 
     @classmethod
     def boolean(cls, value: bool) -> "FeatureValue":
@@ -185,21 +177,6 @@ class FeatureValue:
         return self.value != ""
 
 
-# Shared schema defaults; sharing is safe because FeatureValue is frozen.
-_FALSE = FeatureValue.boolean(False)
-_ZERO = FeatureValue.numeric(0)
-_EMPTY_TEXT = FeatureValue.text("")
-
-
-def default_value_for(kind: ValueKind) -> FeatureValue:
-    """The schema default payload for a value kind: false, 0, or ""."""
-    if kind is ValueKind.BOOLEAN:
-        return _FALSE
-    if kind is ValueKind.NUMERIC:
-        return _ZERO
-    return _EMPTY_TEXT
-
-
 @dataclass(frozen=True)
 class Feature:
     name: str
@@ -209,24 +186,18 @@ class Feature:
     description: str = ""
 
     def __post_init__(self) -> None:
-        _check_identifier(self.name, "feature")
-        if self.default_value is None:
-            object.__setattr__(self, "default_value", default_value_for(self.value_kind))
+        if self.default_value is None and isinstance(self.value_kind, ValueKind):
+            object.__setattr__(self, "default_value", _DEFAULTS[self.value_kind])
+        _check_fields(self)
         if self.default_value.kind is not self.value_kind:
-            raise ModelError(
-                f"feature {self.name!r}: default value kind {self.default_value.kind.value} "
-                f"does not match declared {self.value_kind.value}"
-            )
+            raise ModelError(f"feature {self.name!r}: default value kind "
+                             f"{self.default_value.kind.value} does not match declared "
+                             f"{self.value_kind.value}")
 
 
 @dataclass(frozen=True)
 class UsageLimit:
-    """A quantified cap with an objective metric.
-
-    A blank metric is deliberately constructible: it is the validator's
-    job to flag it (rule R3B), while the document parser rejects it at
-    the boundary.
-    """
+    """A quantified cap with an objective metric; a blank one can be built (see ``_checks``)."""
 
     name: str
     kind: LimitKind
@@ -237,8 +208,7 @@ class UsageLimit:
     description: str = ""
 
     def __post_init__(self) -> None:
-        _check_identifier(self.name, "usage limit")
-        _check_amount(self.default_value, f"usage limit {self.name!r} default")
+        _check_fields(self)
         if self.kind is LimitKind.RENEWABLE and self.period is None:
             raise ModelError(f"usage limit {self.name!r}: RENEWABLE requires a period")
         if self.kind is LimitKind.NON_RENEWABLE and self.period is not None:
@@ -255,8 +225,7 @@ class Plan:
     limit_overrides: dict[str, Decimal] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_identifier(self.name, "plan")
-        _check_amount(self.price, f"plan {self.name!r} price")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -273,13 +242,9 @@ class AddOn:
     limit_extensions: dict[str, Decimal] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        _check_identifier(self.name, "add-on")
-        _check_amount(self.price, f"add-on {self.name!r} price")
+        _check_fields(self)
         if not self.feature_grants and not self.limit_extensions:
             raise ModelError(f"add-on {self.name!r} grants no features and extends no limits")
-        for limit, amount in self.limit_extensions.items():
-            if not isinstance(amount, Decimal) or not amount.is_finite() or amount <= 0:
-                raise ModelError(f"add-on {self.name!r}: extension for {limit!r} must be > 0")
 
 
 @dataclass(frozen=True)
@@ -302,6 +267,7 @@ class Pricing:
     add_ons: dict[str, AddOn] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        _check_fields(self)
         self._check()
         self._canonicalize()
 
@@ -353,63 +319,33 @@ class Pricing:
         object.__setattr__(self, "add_ons", _FrozenDict(add_ons))
 
     def _check(self) -> None:
-        if not self.saas_name.strip():
-            raise ModelError("saasName must be non-empty")
-        if not self.currency.strip():
-            raise ModelError("currency must be non-empty")
-        for mapping, label in (
-            (self.features, "feature"),
-            (self.usage_limits, "usage limit"),
-            (self.plans, "plan"),
-            (self.add_ons, "add-on"),
-        ):
-            for key, entry in mapping.items():
-                if key != entry.name:
-                    raise ModelError(f"{label} map key {key!r} does not match name {entry.name!r}")
+        for entry in ENTRIES:
+            for key, value in getattr(self, _CATALOG_ATTR[entry]).items():
+                if key != value.name:
+                    raise ModelError(
+                        f"{_LABELS[entry]} map key {key!r} does not match name {value.name!r}")
         clash = set(self.features) & set(self.usage_limits)
         if clash:
             raise ModelError(f"names used for both a feature and a usage limit: {sorted(clash)}")
         if not self.plans and not self.add_ons:
             raise ModelError("a pricing needs at least one plan or add-on")
-
-        for limit in self.usage_limits.values():
-            for f in limit.linked_features:
-                if f not in self.features:
-                    raise ModelError(f"usage limit {limit.name!r} links unknown feature {f!r}")
-        for plan in self.plans.values():
-            self._check_feature_values(plan.feature_overrides, f"plan {plan.name!r}")
-            self._check_limit_values(plan.limit_overrides, f"plan {plan.name!r}")
-        for add_on in self.add_ons.values():
-            for p in add_on.available_for:
-                if p not in self.plans:
-                    raise ModelError(f"add-on {add_on.name!r} references unknown plan {p!r}")
-            self._check_feature_values(add_on.feature_grants, f"add-on {add_on.name!r}")
-            for l in add_on.limit_extensions:
-                if l not in self.usage_limits:
-                    raise ModelError(f"add-on {add_on.name!r} extends unknown limit {l!r}")
+        for entry, references in _REFERENCES.items():
+            for value in getattr(self, _CATALOG_ATTR[entry]).values():
+                for key, attr, target, of_kind in references:
+                    catalog = getattr(self, _CATALOG_ATTR[target])
+                    names = getattr(value, attr)
+                    for name in names:
+                        declared = catalog.get(name)
+                        if declared is None:
+                            _fail(value, key, f"references {unknown(target, name)}")
+                        if of_kind and names[name].kind is not declared.value_kind:
+                            _fail(value, f"{key}.{name}", f"is {names[name].kind.value}, "
+                                  f"feature declares {declared.value_kind.value}")
 
     @cached_property
     def _index(self) -> _EngineIndex:
         """The subscription engine's lookups, built on its first call."""
         return _EngineIndex.build(self)
-
-    def _check_feature_values(self, values: dict[str, FeatureValue], owner: str) -> None:
-        for f, v in values.items():
-            if f not in self.features:
-                raise ModelError(f"{owner} references unknown feature {f!r}")
-            if not isinstance(v, FeatureValue):
-                raise ModelError(f"{owner}: value for {f!r} must be a FeatureValue, got {v!r}")
-            declared = self.features[f].value_kind
-            if v.kind is not declared:
-                raise ModelError(
-                    f"{owner}: value for {f!r} is {v.kind.value}, feature declares {declared.value}"
-                )
-
-    def _check_limit_values(self, values: dict[str, Decimal], owner: str) -> None:
-        for l, v in values.items():
-            if l not in self.usage_limits:
-                raise ModelError(f"{owner} references unknown limit {l!r}")
-            _check_amount(v, f"{owner} value for {l!r}")
 
 
 @dataclass(frozen=True)
@@ -583,18 +519,6 @@ def _position_key(catalog: dict):
     return {key: index for index, key in enumerate(catalog)}.__getitem__
 
 
-def _check_identifier(name: str, label: str) -> None:
-    if not isinstance(name, str) or not IDENTIFIER_RE.match(name):
-        raise ModelError(f"{label} name {name!r} is not a valid identifier")
-
-
-def _check_amount(value: Decimal, what: str) -> None:
-    if isinstance(value, bool) or not isinstance(value, Decimal):
-        raise ModelError(f"{what} must be a Decimal, got {value!r}")
-    if not value.is_finite() or value < 0:
-        raise ModelError(f"{what} must be finite and >= 0, got {value}")
-
-
 # -- the dialect's field table -----------------------------------------------
 
 
@@ -629,11 +553,99 @@ class Values(NamedTuple):
 
 
 # What a scalar field holds where its type does not say it all: text that
-# is not blank, a three-letter currency code, an amount above zero. An
-# ``int`` is a count, at least 1.
+# is not blank, a three-letter currency code, an entry's name, an amount
+# above zero. An ``int`` is a count, at least 1.
 NONBLANK = "non-blank text"
 CURRENCY = "currency code"
+NAME = "identifier"
 POSITIVE = "amount above zero"
+
+_EXPONENT_MESSAGE = f"expected a number whose exponent lies within -{MAX_EXPONENT}..{MAX_EXPONENT}"
+_CURRENCY, _IDENTIFIER = re.compile("[A-Z]{3}"), re.compile("[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _number(low: int, message: str, *, above: bool = False):
+    """A number's range: finite, its exponent bounded, and ``low`` or more (or above)."""
+    def in_range(value) -> str | None:
+        number = Decimal(value)
+        if not number.is_finite() or not -MAX_EXPONENT <= number.adjusted() <= MAX_EXPONENT:
+            return _EXPONENT_MESSAGE
+        return None if (number > low if above else number >= low) else message
+    return in_range
+
+
+_COUNT = _number(1, "expected an integer >= 1")
+
+# What a value must be, by what its field holds: an instance of a type and,
+# for the range rules, a test that returns the parser's message for a value
+# out of range, None for one in range. ``periods`` checks that a period's
+# value is a whole number of at least 1; its exponent is bounded here.
+_VALID = {
+    str: (str, None),
+    NONBLANK: (str, lambda text: None if text.strip() else "must be a non-empty string"),
+    CURRENCY: (str, lambda text: None if _CURRENCY.fullmatch(text)
+               else "expected a 3-letter ISO-4217 currency code"),
+    NAME: (str, lambda text: None if _IDENTIFIER.fullmatch(text) else "names must be "
+           "identifiers (letters, digits, underscore; not starting with a digit)"),
+    bool: (bool, None),
+    Decimal: (Decimal, _number(0, "expected a number >= 0")),
+    POSITIVE: (Decimal, _number(0, "expected a number > 0", above=True)),
+    int: (int, _COUNT),
+    Period: (Period, lambda period: _COUNT(period.value)),
+    **{kind: (kind, None) for kind in (FeatureType, ValueKind, LimitKind, PeriodUnit,
+                                       FeatureValue, Feature, UsageLimit, Plan, AddOn)},
+}
+
+
+def out_of_range(holds, value) -> str | None:
+    """The parser's message for a value of the right type that a field holding
+    ``holds`` refuses; None if it accepts it."""
+    in_range = _VALID[holds][1]
+    return in_range(value) if in_range else None
+
+
+def _problem(holds, value) -> str | None:
+    """What is wrong with ``value`` as the value of a field holding ``holds``; None if nothing."""
+    kind, in_range = _VALID[holds]
+    if type(value) is not kind and (type(value) is bool or not isinstance(value, kind)):
+        return f"must be {'an' if kind is int else 'a'} {kind.__name__}, got {value!r}"
+    problem = in_range and in_range(value)
+    return problem and f"{problem}, got {value!r}"
+
+
+def unknown(entry: type, name) -> str:
+    """What the parser says of a name that no entry of ``entry``'s catalog has."""
+    return f"unknown {_LABELS[entry]} {name!r}"
+
+
+def _fail(entity, key: str, problem: str):
+    where = f"{_LABELS[type(entity)]} {entity.name!r} " if type(entity) in _LABELS else ""
+    raise ModelError(f"{where}{key}: {problem}")
+
+
+def _check_fields(entity) -> None:
+    """Check each field of an entity against what ``FIELDS`` says it holds;
+    a field's schema default, the value ``serialize`` omits, is valid."""
+    for key, attr, container, holds, kind, in_range, omit in _CHECKS[type(entity)]:
+        value = getattr(entity, attr)
+        if container is None:
+            if type(value) is not kind or in_range and in_range(value):
+                problem = _problem(holds, value)
+                if problem and value not in omit:
+                    _fail(entity, key, problem)
+        elif not isinstance(value, container):
+            _fail(entity, key, f"must be a {container.__name__}, got {value!r}")
+        else:
+            for name, item in value.items() if container is dict else enumerate(value):
+                if type(item) is not kind or in_range and in_range(item):
+                    problem = _problem(holds, item)
+                    if problem:
+                        _fail(entity, f"{key}.{name}", problem)
+
+
+# The schema default of each value kind; sharing is safe because FeatureValue is frozen.
+_DEFAULTS = {ValueKind.BOOLEAN: FeatureValue.boolean(False), ValueKind.NUMERIC:
+             FeatureValue.numeric(0), ValueKind.TEXT: FeatureValue.text("")}
 
 _C = ChangeKind
 # Each entity's fields in canonical order: the order ``serialize`` writes
@@ -659,7 +671,7 @@ FIELDS: dict[type, tuple[Field, ...]] = {
               (ValueKind.BOOLEAN,)),
         # a default value always has the feature's kind, so this omits the kind's default
         Field("defaultValue", "default_value", FeatureValue, _C.FEATURE_DEFAULT_CHANGED,
-              (_FALSE, _ZERO, _EMPTY_TEXT)),
+              tuple(_DEFAULTS.values())),
     ),
     UsageLimit: (
         Field("description", "description", str, _C.LIMIT_DESCRIPTION_CHANGED, ("",)),
@@ -692,6 +704,38 @@ FIELDS: dict[type, tuple[Field, ...]] = {
 WRAPPED_KEY = "value"  # the one key of the {value: ...} around each map value in a document
 ENTRIES = (Feature, UsageLimit, Plan, AddOn)  # the entry types, each kept in a catalog by name
 del _C
+
+_LABELS = {Feature: "feature", UsageLimit: "usage limit", Plan: "plan", AddOn: "add-on"}
+# The Pricing attribute of each catalog, by its entry type.
+_CATALOG_ATTR = {field.holds: field.attr for field in FIELDS[Pricing]}
+
+
+def _checks(entity) -> tuple:
+    """The walk's fields of an entity: (key, attribute, container, what the
+    value or each item of a container holds, its ``_VALID`` entry, the omitted)."""
+    out = [("name", "name", None, NAME, *_VALID[NAME], ())] if entity in ENTRIES else []
+    for key, attr, holds, _, omit in FIELDS[entity]:
+        if type(holds) is Names:
+            container, holds = tuple, str
+        elif type(holds) is Values:
+            container, holds = dict, holds.holds
+        else:
+            container = dict if holds in ENTRIES else None
+        if entity is UsageLimit and holds is NONBLANK:
+            # The one rule only the parser applies: a blank metric can be
+            # built, so that ``validate`` can still report it as R3B.
+            holds = str
+        out.append((key, attr, container, holds, *_VALID[holds], omit))
+    return tuple(out)
+
+
+_CHECKS = {entity: _checks(entity) for entity in (Pricing, *ENTRIES)}
+# Each entry's fields that name entries: (key, attribute, entry type named,
+# whether they hold values of the named feature's kind).
+_REFERENCES = {entry: tuple(
+    (key, attr, holds.entry, getattr(holds, "holds", None) is FeatureValue)
+    for key, attr, holds, _, _ in FIELDS[entry] if type(holds) in (Names, Values))
+    for entry in ENTRIES}
 
 
 def to_json(value):

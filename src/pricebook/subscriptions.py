@@ -24,6 +24,7 @@ from .errors import (
     AddOnNotAvailableError,
     ClockBeforeStartError,
     ContractPeriodError,
+    ModelError,
     NonPositiveAmountError,
     QuotaExceededError,
     UnknownAddOnError,
@@ -31,7 +32,8 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, to_json
+from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, out_of_range,
+                    to_json)
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -390,8 +392,10 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     start = parse_instant(start_text)
     try:
         period = Period(contract["value"], PeriodUnit(contract["unit"]))
-    except (KeyError, TypeError, ValueError):
-        raise ValueError("contractPeriod must be {value, unit}") from None
+    except (KeyError, TypeError, ValueError, ModelError):
+        period = None
+    if period is None or out_of_range(Period, period) is not None:
+        raise ValueError("contractPeriod must be {value, unit}")
     if not isinstance(usage_doc, dict) or set(usage_doc) != set(pricing.usage_limits):
         raise ValueError("usage map does not match this pricing's usage limits")
     usage: dict[str, UsageState] = {}

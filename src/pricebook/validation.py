@@ -1,9 +1,9 @@
 """Validity rules for parsed pricings.
 
-Structural problems (unknown names, kind mismatches, missing keys) never
-reach this module; the parser and the model constructor reject them. What
-is checked here is whether a well-formed pricing makes sense as a product
-catalog:
+Structural problems never reach this module: a ``Pricing`` refuses
+exactly what a document cannot say, by the parser's own rules, save a
+blank limit metric. What is checked here is whether a well-formed pricing
+makes sense as a product catalog:
 
 * R1 — no two plans may resolve to the same features and limits; price
   alone is not a difference.
@@ -12,8 +12,8 @@ catalog:
 * R3a — no usage-limit window may outlast the contractual period, taken
   here as the pricing's billing period (the subscription engine re-checks
   against the actual contract period when one is created).
-* R3b — every limit needs a real metric; defense in depth, the parser
-  already refuses blank metrics at the boundary.
+* R3b — every limit needs a real metric. The parser refuses a blank one;
+  a ``Pricing`` built in code may hold it, and this rule reports it.
 """
 
 from __future__ import annotations

@@ -41,8 +41,7 @@ from .model import (
     CURRENCY,
     ENTRIES,
     FIELDS,
-    IDENTIFIER_RE,
-    MAX_EXPONENT,
+    NAME,
     NONBLANK,
     POSITIVE,
     WRAPPED_KEY,
@@ -57,7 +56,8 @@ from .model import (
     UsageLimit,
     ValueKind,
     Values,
-    exponent_in_range,
+    out_of_range,
+    unknown,
 )
 from .periods import Period, PeriodUnit
 
@@ -65,7 +65,6 @@ __all__ = ["ErrorKind", "ParseError", "DocumentError", "parse", "serialize"]
 
 _NUMBER_RE = re.compile(r"^[-+]?(\d+(\.\d*)?|\.\d+)([eE][-+]?\d+)?$")
 _INT_RE = re.compile(r"^[-+]?\d+$")
-_CURRENCY_RE = re.compile(r"^[A-Z]{3}$")
 
 # The keys each entity accepts, from the field table.
 _KEYS = {entity: tuple(field.key for field in fields) for entity, fields in FIELDS.items()}
@@ -73,8 +72,6 @@ _KEYS = {entity: tuple(field.key for field in fields) for entity, fields in FIEL
 _TRUE_WORDS = frozenset({"true", "True", "TRUE"})
 _FALSE_WORDS = frozenset({"false", "False", "FALSE"})
 _NULL_WORDS = frozenset({"", "~", "null", "Null", "NULL"})
-
-_EXPONENT_MESSAGE = f"expected a number whose exponent lies within -{MAX_EXPONENT}..{MAX_EXPONENT}"
 
 
 class ErrorKind(Enum):
@@ -260,10 +257,10 @@ class _Reader:
         return out
 
     def scalar(self, node, path: str):
-        """Classify a scalar: ('bool'|'num'|'str'|'null', value)."""
+        """Classify a scalar: ('bool'|'num'|'str'|'null', value), or (None, None)."""
         if not isinstance(node, ScalarNode):
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a scalar value")
-            return None
+            return None, None
         # Plain scalars have style None under the pure loader and '' under
         # libyaml; any other style is quoted or block: always a string.
         if node.style:
@@ -279,64 +276,44 @@ class _Reader:
             return ("num", Decimal(text))
         return ("str", text)
 
-    def string(self, node, path: str, *, nonempty: bool = False) -> str | None:
-        sc = self.scalar(node, path)
-        if sc is None:
+    def in_range(self, node, path: str, holds, value):
+        """``value`` if ``model.out_of_range`` finds nothing; else None, reported."""
+        problem = out_of_range(holds, value)
+        if problem is None:
+            return value
+        self.err(node, path, ErrorKind.TYPE_MISMATCH, problem)
+        return None
+
+    def string(self, node, path: str, holds=str) -> str | None:
+        kind, value = self.scalar(node, path)
+        if kind is None:
             return None
-        kind, value = sc
         if kind == "null":
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a string")
             return None
-        text = value if kind == "str" else node.value
-        if nonempty and not text.strip():
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, "must be a non-empty string")
-            return None
-        return text
+        return self.in_range(node, path, holds, value if kind == "str" else node.value)
 
-    def currency(self, node, path: str) -> str | None:
-        code = self.string(node, path)
-        if code is not None and not _CURRENCY_RE.match(code):
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a 3-letter ISO-4217 currency code")
+    def decimal(self, node, path: str, holds=Decimal) -> Decimal | None:
+        kind, value = self.scalar(node, path)
+        if kind is None:
             return None
-        return code
-
-    def decimal(self, node, path: str, *, positive: bool = False) -> Decimal | None:
-        sc = self.scalar(node, path)
-        if sc is None:
-            return None
-        kind, value = sc
         if kind != "num":
             self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number")
             return None
-        if not exponent_in_range(value):
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, _EXPONENT_MESSAGE)
-            return None
-        if positive and value <= 0:
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number > 0")
-            return None
-        if not positive and value < 0:
-            self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number >= 0")
-            return None
-        return value
+        return self.in_range(node, path, holds, value)
 
     def count(self, node, path: str) -> int | None:
-        message = "expected an integer"
         if isinstance(node, ScalarNode) and not node.style and _INT_RE.match(node.value):
-            value = Decimal(node.value)  # int() refuses literals past 4,300 digits
-            if not exponent_in_range(value):
-                message = _EXPONENT_MESSAGE
-            elif value < 1:
-                message = "expected an integer >= 1"
-            else:
-                return int(value)
-        self.err(node, path, ErrorKind.TYPE_MISMATCH, message)
+            # read as a Decimal first: int() refuses literals past 4,300 digits
+            value = self.in_range(node, path, int, Decimal(node.value))
+            return None if value is None else int(value)
+        self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected an integer")
         return None
 
     def enum(self, node, path: str, enum_cls):
-        sc = self.scalar(node, path)
-        if sc is None:
+        kind, value = self.scalar(node, path)
+        if kind is None:
             return None
-        kind, value = sc
         if kind == "str":
             try:
                 return enum_cls(value)
@@ -348,23 +325,21 @@ class _Reader:
         return None
 
     def feature_value(self, node, path: str, declared: ValueKind | None) -> FeatureValue | None:
-        sc = self.scalar(node, path)
-        if sc is None or declared is None:
+        kind, value = self.scalar(node, path)
+        if kind is None or declared is None:
             return None
-        kind, value = sc
         if declared is ValueKind.BOOLEAN:
             if kind != "bool":
                 self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected true or false")
                 return None
             return FeatureValue.boolean(value)
         if declared is ValueKind.NUMERIC:
+            # a negative number reports its sign before its exponent
             if kind != "num" or value < 0:
                 self.err(node, path, ErrorKind.TYPE_MISMATCH, "expected a number >= 0")
                 return None
-            if not exponent_in_range(value):
-                self.err(node, path, ErrorKind.TYPE_MISMATCH, _EXPONENT_MESSAGE)
-                return None
-            return FeatureValue.numeric(value)
+            value = self.in_range(node, path, Decimal, value)
+            return None if value is None else FeatureValue.numeric(value)
         if kind != "str":
             self.err(
                 node, path, ErrorKind.TYPE_MISMATCH,
@@ -425,9 +400,7 @@ class _Reader:
         declared = self.declared[entry]
         for name, key_node, value_node in items:
             at = f"{path}.{name}"
-            if not IDENTIFIER_RE.match(name):
-                self.err(key_node, at, ErrorKind.TYPE_MISMATCH, "names must be identifiers "
-                         "(letters, digits, underscore; not starting with a digit)")
+            if self.in_range(key_node, at, NAME, name) is None:
                 continue
             if entry is UsageLimit and name in self.declared[Feature]:
                 self.err(key_node, at, ErrorKind.DUPLICATE_KEY,
@@ -458,8 +431,7 @@ class _Reader:
             if item.value in declared:
                 out.append(item.value)
             else:
-                self.err(item, path, ErrorKind.DANGLING_REFERENCE,
-                         f"unknown {_LABELS[entry]} {item.value!r}")
+                self.err(item, path, ErrorKind.DANGLING_REFERENCE, unknown(entry, item.value))
         return tuple(out)
 
     def value_map(self, node, path: str, holds: Values) -> dict:
@@ -473,8 +445,7 @@ class _Reader:
         for name, key_node, value_node in items:
             at = f"{path}.{name}"
             if name not in declared:
-                self.err(key_node, at, ErrorKind.DANGLING_REFERENCE,
-                         f"unknown {_LABELS[holds.entry]} {name!r}")
+                self.err(key_node, at, ErrorKind.DANGLING_REFERENCE, unknown(holds.entry, name))
                 continue
             wrapper = self.fields(value_node, at, (WRAPPED_KEY,))
             if wrapper is None:
@@ -534,11 +505,8 @@ def _declared_kind(values: dict) -> ValueKind | None:
 # How the walk reads each scalar a field may hold; feature values, whose
 # kind depends on the feature, are read by ``entity`` and ``value_map``.
 _SCALARS = {
-    str: _Reader.string,
-    NONBLANK: partial(_Reader.string, nonempty=True),
-    CURRENCY: _Reader.currency,
-    Decimal: _Reader.decimal,
-    POSITIVE: partial(_Reader.decimal, positive=True),
+    **{holds: partial(_Reader.string, holds=holds) for holds in (str, NONBLANK, CURRENCY)},
+    **{holds: partial(_Reader.decimal, holds=holds) for holds in (Decimal, POSITIVE)},
     int: _Reader.count,
     **{enum: partial(_Reader.enum, enum_cls=enum)
        for enum in (FeatureType, ValueKind, LimitKind, PeriodUnit)},
@@ -571,18 +539,17 @@ _WALK = {
 }
 _RULES = {Pricing: _Reader.pricing_rule, UsageLimit: _Reader.limit_rule,
           AddOn: _Reader.add_on_rule}
-_LABELS = {Feature: "feature", UsageLimit: "usage limit", Plan: "plan"}
 _PLANS_KEY = next(field.key for field in FIELDS[Pricing] if field.holds is Plan)
 _PERIOD_KEY = next(field.key for field in FIELDS[UsageLimit] if field.holds is Period)
 
 
 # -- canonical serialization ------------------------------------------------
 
-_PLAIN_BODY_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_ .,'()/+\-]*$")
+_PLAIN_BODY_RE = re.compile(r"[A-Za-z0-9][A-Za-z0-9_ .,'()/+\-]*")
 
 
 def _plain_safe(text: str) -> bool:
-    if not _PLAIN_BODY_RE.match(text) or text.endswith(" "):
+    if not _PLAIN_BODY_RE.fullmatch(text) or text.endswith(" "):
         return False
     if text in _TRUE_WORDS or text in _FALSE_WORDS or text in _NULL_WORDS:
         return False

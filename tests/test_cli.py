@@ -196,6 +196,17 @@ class TestConsume:
             assert (code, out) == (3, "")
             assert err.startswith(f"error: {state_file}: ")
 
+    def test_state_contract_period_out_of_range_exit_3_naming_the_file(self, capsys, zoom_file,
+                                                                        state_file):
+        state = json.loads(Path(state_file).read_text(encoding="utf-8"))
+        for value in (0, 1.5, True, 10**1200):
+            with open(state_file, "w", encoding="utf-8") as fh:
+                json.dump({**state, "contractPeriod": {"value": value, "unit": "MONTH"}}, fh)
+            code, out, err = run(capsys, "consume", zoom_file, "--subscription", state_file,
+                                 "--limit", "maxAssistantsPerMeeting", "--amount", "1")
+            assert (code, out) == (3, "")
+            assert err == f"error: {state_file}: contractPeriod must be {{value, unit}}\n"
+
     def test_interrupted_write_preserves_state(self, capsys, zoom_file, state_file,
                                                monkeypatch):
         before = Path(state_file).read_bytes()

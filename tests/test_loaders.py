@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pricebook
-from pricebook import DocumentError, parse, serialize, yamlio
+from pricebook import DocumentError, ModelError, Pricing, parse, serialize, yamlio
+
+from test_cli_fuzz import DOC_LINES, EDGE_TEXT
 
 ZOOM_LINES = (Path(__file__).resolve().parent.parent / "fixtures" / "zoom.yml") \
     .read_text(encoding="utf-8").split("\n")
@@ -63,6 +65,32 @@ def mutated_zoom(draw):
 ))
 def test_same_outcome_as_pure_loader(text):
     assert outcome(text) == pure_outcome(text)
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
+def test_parsed_documents_never_reach_the_model_safety_net(pure):
+    # Parser and model share their rules, so ``_read``'s ``except
+    # ModelError`` is never taken: a document that reads builds its Pricing.
+    # Each line of the CLI fuzz document takes, in turn, each value of its
+    # alphabet, which leaves most documents with a single error or none.
+    refused = []
+    check = Pricing.__post_init__
+
+    def recording(pricing):
+        try:
+            check(pricing)
+        except ModelError as exc:
+            refused.append(exc)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Pricing, "__post_init__", recording)
+        for i, line in enumerate(DOC_LINES):
+            key, colon, _ = line.partition(":")
+            for value in EDGE_TEXT + ["", "- x", "\t", "?"] if colon else ():
+                lines = [*DOC_LINES[:i], f"{key}: {value}", *DOC_LINES[i + 1:]]
+                (pure_outcome if pure else outcome)("\n".join(lines))
+    assert refused == []
 
 
 MINIMAL = (Path(__file__).resolve().parent.parent / "fixtures" / "minimal.yml") \

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -20,6 +21,7 @@ from pricebook import (
     PeriodUnit,
     Plan,
     Pricing,
+    Rule,
     UnknownPlanError,
     UsageLimit,
     ValueKind,
@@ -31,18 +33,18 @@ from pricebook import (
     parse_instant,
     pricing_stats,
     resolve_plan,
+    serialize,
     validate,
 )
+from pricebook.model import FIELDS, Values
 
 from support import random_pricing
 
 
-def mini(plans=None, features=None, add_ons=None, usage_limits=None):
+def mini(plans=None, features=None, add_ons=None, usage_limits=None, **metadata):
     return Pricing(
-        saas_name="Mini",
-        version="1",
-        currency="USD",
-        billing_period=Period(1, PeriodUnit.MONTH),
+        **{"saas_name": "Mini", "version": "1", "currency": "USD",
+           "billing_period": Period(1, PeriodUnit.MONTH), **metadata},
         features=features if features is not None else {
             "thing": Feature(name="thing", feature_type=FeatureType.DOMAIN,
                              default_value=FeatureValue.boolean(True)),
@@ -113,7 +115,7 @@ class TestConstruction:
             ghosts = tuple(f"ghost{k}_{i}" for i in range(6))
             limit = UsageLimit(name="calls", kind=LimitKind.NON_RENEWABLE, metric="call",
                                linked_features=ghosts)
-            with pytest.raises(ModelError, match=f"links unknown feature '{ghosts[0]}'$"):
+            with pytest.raises(ModelError, match=f"references unknown feature '{ghosts[0]}'$"):
                 mini(usage_limits={"calls": limit})
             add_on = AddOn(name="extra", price=Decimal(1), available_for=ghosts,
                            feature_grants={"thing": FeatureValue.boolean(True)})
@@ -136,10 +138,112 @@ class TestConstruction:
                      plans={"P": Plan(name="P", price=Decimal(0),
                                       limit_overrides={"calls": value})})
 
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: mini(currency="usd"), id="lowercase-currency"),
+        pytest.param(lambda: mini(currency="USD\n"), id="currency-and-newline"),
+        pytest.param(lambda: mini(plans={"P": Plan("P", HUGE)}), id="huge-price"),
+        pytest.param(lambda: mini(plans={"P": Plan("P", TINY)}), id="tiny-price"),
+        pytest.param(lambda: mini(add_ons={"extra": AddOn(
+            "extra", HUGE, feature_grants={"thing": FeatureValue.boolean(True)})}),
+            id="huge-add-on-price"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls(default_value=HUGE)}),
+                     id="huge-limit-default"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls(default_value=TINY)}),
+                     id="tiny-limit-default"),
+        pytest.param(lambda: mini(features={"n": Feature(
+            "n", FeatureType.DOMAIN, ValueKind.NUMERIC, FeatureValue.numeric(HUGE))}),
+            id="huge-numeric-value"),
+        pytest.param(lambda: mini(features={"n": Feature(
+            "n", FeatureType.DOMAIN, ValueKind.NUMERIC, FeatureValue.numeric(TINY))}),
+            id="tiny-numeric-value"),
+        pytest.param(lambda: mini(billing_period=Period(10**1200, PeriodUnit.DAY)),
+                     id="huge-billing-period"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls(
+            kind=LimitKind.RENEWABLE, period=Period(10**1200, PeriodUnit.DAY))}),
+            id="huge-limit-period"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls(kind="RENEWABLE")}),
+                     id="renewable-as-text"),
+        pytest.param(lambda: mini(features={"f": Feature("f", "DOMAIN")}), id="type-as-text"),
+        pytest.param(lambda: mini(version=2), id="version-as-int"),
+        pytest.param(lambda: mini(features={"f": Feature("f", FeatureType.DOMAIN,
+                                                         description=None)}),
+                     id="feature-description-none"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls(description=None)}),
+                     id="limit-description-none"),
+        pytest.param(lambda: mini(billing_period=(1, "MONTH")), id="period-as-tuple"),
+        pytest.param(lambda: mini(features={"f": Feature("f", FeatureType.DOMAIN,
+                                                         value_kind="BOOLEAN")}),
+                     id="value-kind-as-text"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls()}, plans={"P": Plan(
+            "P", Decimal(0), limit_overrides={"calls": HUGE})}), id="huge-plan-override"),
+        pytest.param(lambda: mini(usage_limits={"calls": calls()}, add_ons={"extra": AddOn(
+            "extra", Decimal(1), limit_extensions={"calls": HUGE})}), id="huge-extension"),
+        pytest.param(lambda: mini(plans={"P\n": Plan("P\n", Decimal(0))}),
+                     id="name-and-newline"),
+    ])
+    def test_refuses_what_a_document_cannot_say(self, build):
+        with pytest.raises(ModelError):
+            build()
+
+    def test_built_pricings_round_trip_or_are_refused(self):
+        # One field, or one value of a map field, of a random pricing gets a
+        # value at the edge of what a document can say. The pricing is
+        # refused, or validate reads it and the document gives it back.
+        rng = random.Random(405)
+        refused = 0
+        for _ in range(800):
+            pricing = random_pricing(rng)
+            value = rng.choice(EDGE_VALUES)
+            try:
+                pricing = _with_one_field(rng, pricing, value)
+            except ModelError:
+                refused += 1
+                continue
+            report = validate(pricing)
+            if not any(v.rule is Rule.R3B_MISSING_METRIC for v in report.violations):
+                assert parse(serialize(pricing)) == pricing, value
+        assert 100 < refused < 800 - 30  # both outcomes are exercised
+
     def test_redundant_override_dropped(self):
         p = mini(plans={"P": Plan(name="P", price=Decimal(0),
                                   feature_overrides={"thing": FeatureValue.boolean(True)})})
         assert p.plans["P"].feature_overrides == {}
+
+
+HUGE, TINY = Decimal("1e5000"), Decimal("1e-5000")
+
+# Values at the edges of what a document can say, each constructible on its own.
+EDGE_VALUES = [
+    "usd", "USD\n", "", " ", "a\n", "x y", "café\n", "\ud800", "\x00", "DOMAIN", "RENEWABLE",
+    "BOOLEAN", None, 2, True, 1.5, HUGE, TINY, Decimal("-1"), Decimal("-0"), Decimal("NaN"),
+    Decimal("1e1000"), Decimal("1e-1000"), Decimal("0E-1001"), Period(10**1200, PeriodUnit.DAY),
+    Period(10**1000, PeriodUnit.DAY), (1, "MONTH"), ("a",), (), {}, {"a": Decimal(1)},
+    FeatureValue.numeric("1e1000"), FeatureValue.numeric("5.0"), FeatureValue.text("a\n"),
+    FeatureValue.boolean(True), LimitKind.RENEWABLE, FeatureType.DOMAIN, ValueKind.TEXT,
+]
+
+
+def calls(**fields):
+    return UsageLimit(**{"name": "calls", "kind": LimitKind.NON_RENEWABLE, "metric": "call",
+                         **fields})
+
+
+def _with_one_field(rng, pricing, value):
+    """``pricing`` built again with one field, or one value of a map field,
+    of itself or one of its entries set to ``value``."""
+    catalogs = {"features": pricing.features, "usage_limits": pricing.usage_limits,
+                "plans": pricing.plans, "add_ons": pricing.add_ons}
+    owner, entity = rng.choice([(None, pricing)] + [
+        (attr, entry) for attr, catalog in catalogs.items() for entry in catalog.values()])
+    field = rng.choice(FIELDS[type(entity)])
+    new = value
+    current = getattr(entity, field.attr)
+    if type(field.holds) is Values and current and rng.random() < 0.7:
+        new = {**current, rng.choice(sorted(current)): value}
+    entity = replace(entity, **{field.attr: new})
+    if owner is None:
+        return entity
+    return replace(pricing, **{owner: {**catalogs[owner], entity.name: entity}})
 
 
 class TestResolvePlan:
@@ -201,10 +305,7 @@ class TestClassifyFeatures:
             classes = classify_features(pricing)
             resolved = [resolve_plan(pricing, p) for p in pricing.plans]
             for name, cls in classes.items():
-                distinct = {
-                    (r.feature_values[name].kind, str(r.feature_values[name].value))
-                    for r in resolved
-                }
+                distinct = {r.feature_values[name] for r in resolved}  # by FeatureValue ==
                 assert (cls is FeatureClass.COMMON) == (len(distinct) == 1)
 
 

@@ -455,6 +455,16 @@ class TestStatePersistence:
             with pytest.raises(ValueError):
                 subscription_from_json(zoom, json.dumps({**state, key: value}))
 
+    def test_contract_period_out_of_range_is_a_value_error(self, zoom, pro):
+        state = json.loads(subscription_to_json(zoom, pro))
+        for value in (0, -1, 1.5, True, "1", 10**1001, 10**1200):
+            text = json.dumps({**state, "contractPeriod": {"value": value, "unit": "MONTH"}})
+            with pytest.raises(ValueError, match=r"^contractPeriod must be \{value, unit\}$"):
+                subscription_from_json(zoom, text)
+        widest = 10**1001 - 1  # exponent 1000, the bound
+        text = json.dumps({**state, "contractPeriod": {"value": widest, "unit": "MONTH"}})
+        assert subscription_from_json(zoom, text).contract_period == Period(widest, PeriodUnit.MONTH)
+
     def test_malformed_state_rejected(self, zoom):
         with pytest.raises(ValueError):
             subscription_from_json(zoom, "{}")

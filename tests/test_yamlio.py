@@ -5,6 +5,7 @@ These tests run under the default loader, libyaml when PyYAML has it;
 """
 
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -291,6 +292,24 @@ def test_round_trip_random_corpus():
         again = parse(text)
         assert again == pricing
         assert serialize(again) == text
+
+
+def test_text_ending_in_a_line_break_is_quoted(zoom):
+    pricing = replace(zoom, saas_name="Zoom\n")
+    text = serialize(pricing)
+    assert 'saasName: "Zoom\\n"\n' in text
+    assert parse(text) == pricing
+
+
+def test_a_trailing_line_break_ends_no_name_or_code(minimal_path):
+    text = minimal_path.read_text(encoding="utf-8")
+    errs = errors_of(text.replace("currency: EUR", 'currency: "EUR\\n"')
+                     .replace("  basicNotes:", '  "basicNotes\\n":'))
+    assert [(e.line, e.kind, e.message) for e in errs] == [
+        (3, ErrorKind.TYPE_MISMATCH, "expected a 3-letter ISO-4217 currency code"),
+        (8, ErrorKind.TYPE_MISMATCH, "names must be identifiers "
+                                     "(letters, digits, underscore; not starting with a digit)"),
+    ]
 
 
 def test_error_locality_under_single_scalar_mutation(zoom_text):
