@@ -159,9 +159,15 @@ class FeatureValue:
 
     @classmethod
     def numeric(cls, value: Decimal | int | str) -> "FeatureValue":
-        if isinstance(value, bool):
-            raise ModelError("numeric value cannot be a bool")
-        return cls(ValueKind.NUMERIC, Decimal(value))
+        """A number from a Decimal, an int or numeric text; a float is refused,
+        since it holds a binary fraction and not the decimal it was written as."""
+        if isinstance(value, bool) or not isinstance(value, (Decimal, int, str)):
+            raise ModelError(f"numeric value must be a Decimal, an int or text, got {type(value).__name__}")
+        try:
+            number = Decimal(value)
+        except ArithmeticError:
+            raise ModelError(f"numeric value is not a number, got {value!r}") from None
+        return cls(ValueKind.NUMERIC, number)
 
     @classmethod
     def text(cls, value: str) -> "FeatureValue":

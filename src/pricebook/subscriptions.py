@@ -147,9 +147,10 @@ def create_subscription(
 ) -> Subscription:
     """New subscription with zeroed usage and windows anchored at start.
 
-    The contract period defaults to the pricing's billing period. Any
-    limit whose window outlasts the contract is refused outright: it
-    could never renew within the subscription.
+    The contract period defaults to the pricing's billing period; one past
+    the exponent bound raises ModelError, since its state file could not be
+    read back. Any limit whose window outlasts the contract is refused
+    outright: it could never renew within the subscription.
     """
     if plan_name not in pricing.plans:
         raise UnknownPlanError(plan_name)
@@ -157,6 +158,9 @@ def create_subscription(
     _check_add_ons(pricing, plan_name, sorted(names))
     start = _check_instant(start_instant)
     contract = contract_period or pricing.billing_period
+    problem = out_of_range(Period, contract)
+    if problem is not None:  # the bound subscription_from_state applies
+        raise ModelError(f"contract period: {problem}")
     usage = {}
     for limit in pricing.usage_limits.values():
         if limit.period is not None and limit.period.canonical_days > contract.canonical_days:

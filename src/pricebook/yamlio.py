@@ -112,15 +112,24 @@ def parse(text: str) -> Pricing:
 
     Total over arbitrary input text: the only exception raised is
     DocumentError. Composes on libyaml when PyYAML has it and the text is
-    one on which libyaml and the pure-Python loader agree; every error is
-    reported as the pure-Python loader finds it, so the result and the
-    error text are the same either way.
+    one on which libyaml and the pure-Python loader agree. Schema errors
+    are reported from libyaml's nodes, unless one sits at an empty plain
+    scalar, whose mark the two loaders place apart; those documents, and
+    every YAML syntax error, are read again on the pure loader. So the
+    result and the error text are the same either way.
     """
     if _LIBYAML_LOADER is not None and _libyaml_agrees(text):
         try:
-            return _read(yaml.compose(text, Loader=_LIBYAML_LOADER))
-        except (yaml.YAMLError, UnicodeError, DocumentError):
-            pass  # recompute, so that errors and their marks are the pure loader's
+            root = yaml.compose(text, Loader=_LIBYAML_LOADER)
+        except (yaml.YAMLError, UnicodeError):
+            pass  # recompute, so that syntax errors and their marks are the pure loader's
+        else:
+            reader = _Reader()
+            try:
+                return reader.read(root)
+            except DocumentError:
+                if not reader.at_empty_scalar:
+                    raise
     try:
         root = yaml.compose(text, Loader=yaml.SafeLoader)
     except yaml.YAMLError as exc:
@@ -129,14 +138,26 @@ def parse(text: str) -> Pricing:
         raise DocumentError(
             [ParseError(1, 1, "", ErrorKind.SYNTAX, "document nesting is too deep")]
         ) from None
-    return _read(root)
+    return _Reader().read(root)
 
 
 # libyaml composes about ten times faster than PyYAML's pure-Python loader,
-# which stays the reference. The two part ways on some texts, which the
-# pure loader alone reads:
+# which stays the reference. On the texts handed to libyaml the two compose
+# the same node graph, marks included, except for the marks of empty plain
+# scalars (a bare "---", "{a: , b: c}", a flow key that ends its line);
+# tests/test_loaders.py holds them to that. So ``parse`` reports schema
+# errors from libyaml's nodes unless one sits at an empty plain scalar. The
+# two part ways on some texts, which the pure loader alone reads:
 # - tabs and "?": libyaml accepts them in places the pure scanner rejects,
 #   such as a trailing tab or "{value: what?}";
+# - "!" where a token may start, which opens every tag and tag directive:
+#   libyaml accepts some tags the pure scanner rejects ("!~!!str x") and
+#   reads others to other nodes ("[!a, b]"). A "!" may open a token only
+#   at the start of the text (after a byte-order mark) or after whitespace,
+#   a flow indicator, ":" or a closing quote; both loaders refuse one right
+#   after an anchor or alias and read any other as text, as in "Great value!";
+# - a block scalar header followed directly by a comment, such as ">#c" or
+#   "|-#c", which libyaml accepts and the pure scanner rejects;
 # - a byte-order mark past the first character, which libyaml skips at the
 #   start of a line;
 # - NEL, LS and PS, line breaks whose marks the two loaders place apart;
@@ -150,6 +171,10 @@ def parse(text: str) -> Pricing:
 #   255 + 2 * 63 + 2 = 383 levels.
 _LIBYAML_LOADER = getattr(yaml, "CSafeLoader", None)
 _PURE_ONLY_CHARS = "\t\x85\u2028\u2029?"
+# Each pattern opens with one literal character, which a search skips to
+# quickly; "[|>]" or a look-behind first would test every position.
+_TAG_RE = re.compile(r"!(?<![^\s\ufeff\[\]{},:'\"]!)")
+_HEADER_COMMENT_RES = (re.compile(r"\|[-+0-9]*#"), re.compile(r">[-+0-9]*#"))
 _MAX_FLOW_OPENERS = 256
 _DEEP_LINE_RE = re.compile(r"\n[ :-]{64}")
 
@@ -158,26 +183,12 @@ def _libyaml_agrees(text: str) -> bool:
     return (
         not any(char in text for char in _PURE_ONLY_CHARS)
         and text.find("\ufeff", 1) < 0
+        and _TAG_RE.search(text) is None
+        and not any(header.search(text) for header in _HEADER_COMMENT_RES)
         and text.count("[") + text.count("{") < _MAX_FLOW_OPENERS
         # a line opens at the start of the text and after "\n" or "\r"
         and _DEEP_LINE_RE.search("\n" + text.replace("\r", "\n")) is None
     )
-
-
-def _read(root: yaml.nodes.Node | None) -> Pricing:
-    if root is None:
-        raise DocumentError(
-            [ParseError(1, 1, "", ErrorKind.MISSING_REQUIRED, "document is empty")]
-        )
-    reader = _Reader()
-    values, ok = reader.entity(Pricing, root, "")
-    if ok and not reader.errors:
-        try:
-            return Pricing(**values)
-        except ModelError as exc:  # safety net; the walk should catch everything
-            reader.err(root, "", ErrorKind.TYPE_MISMATCH, str(exc))
-    raise DocumentError(reader.errors or [
-        ParseError(1, 1, "", ErrorKind.SYNTAX, "could not interpret document")])
 
 
 def _yaml_error(exc: yaml.YAMLError, text: str) -> ParseError:
@@ -211,10 +222,30 @@ class _Reader:
         # Every name each catalog declares, whether or not its entry reads;
         # a feature's name maps to the kind of its values, None if unknown.
         self.declared: dict[type, dict[str, ValueKind | None]] = {entry: {} for entry in ENTRIES}
+        # Whether an error sits at an empty plain scalar, whose mark the
+        # two loaders place apart.
+        self.at_empty_scalar = False
+
+    def read(self, root: yaml.nodes.Node | None) -> Pricing:
+        """The pricing a composed document holds; raises DocumentError listing every problem."""
+        if root is None:
+            raise DocumentError(
+                [ParseError(1, 1, "", ErrorKind.MISSING_REQUIRED, "document is empty")]
+            )
+        values, ok = self.entity(Pricing, root, "")
+        if ok and not self.errors:
+            try:
+                return Pricing(**values)
+            except ModelError as exc:  # safety net; the walk should catch everything
+                self.err(root, "", ErrorKind.TYPE_MISMATCH, str(exc))
+        raise DocumentError(self.errors or [
+            ParseError(1, 1, "", ErrorKind.SYNTAX, "could not interpret document")])
 
     def err(self, node: yaml.nodes.Node, path: str, kind: ErrorKind, message: str) -> None:
         line, column = _loc(node)
         self.errors.append(ParseError(line, column, path, kind, message))
+        if isinstance(node, ScalarNode) and not node.value and not node.style:
+            self.at_empty_scalar = True
 
     # -- generic node readers -------------------------------------------
 

@@ -1,9 +1,11 @@
 """libyaml and the pure-Python loader give every text the same outcome.
 
-``parse`` composes on libyaml when PyYAML has it, reads some texts with the
-pure loader only, and recomputes every failure with the pure loader. These
-tests hold the default path to the pure loader's outcome: the same
-canonical text, or the same errors with the same marks and messages.
+``parse`` composes on libyaml when PyYAML has it and reads some texts with
+the pure loader only. It recomputes with the pure loader every YAML error
+and every schema error located at an empty plain scalar; other schema
+errors it reports from libyaml's nodes. These tests hold the default path
+to the pure loader's outcome: the same canonical text, or the same errors
+with the same marks and messages.
 """
 
 import os
@@ -49,12 +51,12 @@ def pure_outcome(text):
 
 
 @st.composite
-def mutated_zoom(draw):
+def mutated_zoom(draw, tokens=TRICKY):
     lines = list(ZOOM_LINES)
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         j = draw(st.integers(0, len(lines[i])))
-        lines[i] = lines[i][:j] + draw(st.sampled_from(TRICKY)) + lines[i][j:]
+        lines[i] = lines[i][:j] + draw(st.sampled_from(tokens)) + lines[i][j:]
     return "\n".join(lines)
 
 
@@ -69,7 +71,7 @@ def test_same_outcome_as_pure_loader(text):
 
 @pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
 def test_parsed_documents_never_reach_the_model_safety_net(pure):
-    # Parser and model share their rules, so ``_read``'s ``except
+    # Parser and model share their rules, so ``_Reader.read``'s ``except
     # ModelError`` is never taken: a document that reads builds its Pricing.
     # Each line of the CLI fuzz document takes, in turn, each value of its
     # alphabet, which leaves most documents with a single error or none.
@@ -95,6 +97,8 @@ def test_parsed_documents_never_reach_the_model_safety_net(pure):
 
 MINIMAL = (Path(__file__).resolve().parent.parent / "fixtures" / "minimal.yml") \
     .read_text(encoding="utf-8")
+WITH_ADD_ON = MINIMAL + ("addOns:\n  extra:\n    price: 1\n    availableFor: [FREE]\n"
+                         "    features:\n      basicNotes:\n        value: true\n")
 
 
 @pytest.mark.parametrize("text", [
@@ -113,9 +117,65 @@ MINIMAL = (Path(__file__).resolve().parent.parent / "fixtures" / "minimal.yml") 
     pytest.param(MINIMAL + "---\n", id="second-document"),
     pytest.param(MINIMAL.replace("features:", "---\nfeatures:"), id="split-document"),
     pytest.param(MINIMAL.replace("MiniNotes", "Mini\ud800"), id="lone-surrogate"),
+    pytest.param(MINIMAL.replace("MiniNotes", "!~!!str MiniNotes"), id="malformed-tag"),
+    pytest.param(WITH_ADD_ON.replace("[FREE]", "[!FREE, FREE]"), id="tag-in-flow"),
+    pytest.param(MINIMAL.replace("MiniNotes", ">#c\n  MiniNotes"), id="folded-header-comment"),
+    pytest.param(MINIMAL.replace("MiniNotes", "|-#c\n  MiniNotes"), id="literal-header-comment"),
+    pytest.param(MINIMAL.replace("MiniNotes", "|+2#c\n   MiniNotes"), id="header-indicators-comment"),
+    # errors at empty plain scalars, whose marks libyaml places elsewhere
+    pytest.param("---", id="bare-document-start"),
+    pytest.param(MINIMAL.replace("  FREE:\n    price: 0", "  FREE: {price: , x: 1}"),
+                 id="empty-flow-value"),
+    pytest.param(MINIMAL.replace("  FREE:\n    price: 0", "  FREE: {price:\n    }"),
+                 id="flow-key-at-line-end"),
 ])
 def test_same_outcome_on_known_differences(text):
     assert outcome(text) == pure_outcome(text)
+
+
+def node_graph(node, seen=None):
+    """What the walk reads of a node and everything under it: class, value,
+    whether it is styled, and start mark. Empty plain scalars compare equal
+    wherever they start; an alias reads as the index of the node it names."""
+    seen = {} if seen is None else seen
+    if node is None:
+        return None
+    if id(node) in seen:
+        return seen[id(node)]
+    seen[id(node)] = len(seen)
+    if isinstance(node, yaml.ScalarNode) and not node.value and not node.style:
+        return "empty"
+    mark = node.start_mark
+    head = (type(node).__name__, mark.line, mark.column)
+    if isinstance(node, yaml.ScalarNode):
+        return head + (bool(node.style), node.value)
+    if isinstance(node, yaml.SequenceNode):
+        return head + tuple(node_graph(item, seen) for item in node.value)
+    return head + tuple((node_graph(key, seen), node_graph(value, seen))
+                        for key, value in node.value)
+
+
+# Tokens that part the two loaders or move marks, as widened for the graphs.
+GRAPH_TOKENS = TRICKY + ["!", ">#", "|-#", "{a: , b: c}", "[a: , b]", "[a:\n]", ": ",
+                         "---\n", "%TAG ! tag:x,1:\n", "!~", "a!", "'a'!"]
+
+
+@pytest.mark.skipif(yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(
+    mutated_zoom(GRAPH_TOKENS),
+    st.lists(st.sampled_from(GRAPH_TOKENS + ["a", "b: ", "\n  "]), max_size=40).map("".join),
+))
+def test_libyaml_composes_the_pure_loaders_node_graph(text):
+    # parse reports schema errors from libyaml's nodes, so on every text it
+    # hands libyaml and libyaml composes, the pure loader composes the same.
+    if not yamlio._libyaml_agrees(text):
+        return
+    try:
+        root = yaml.compose(text, Loader=yamlio._LIBYAML_LOADER)
+    except (yaml.YAMLError, UnicodeError):
+        return
+    assert node_graph(root) == node_graph(yaml.compose(text, Loader=yaml.SafeLoader))
 
 
 def _block_nest(width):
@@ -147,6 +207,27 @@ def test_plain_documents_compose_on_libyaml(zoom_text, monkeypatch):
 
     monkeypatch.setattr(yaml, "compose", recording)
     parse(zoom_text)
+    assert loaders == [yamlio._LIBYAML_LOADER]
+
+
+@pytest.mark.skipif(yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("text", [
+    pytest.param(MINIMAL.replace("MiniNotes", "Mini!Notes"), id="plain"),
+    pytest.param(MINIMAL.replace("MiniNotes", "'Great value!'"), id="quoted"),
+    pytest.param(MINIMAL + "# no tags here!\n", id="comment"),
+])
+def test_exclamation_marks_inside_text_compose_on_libyaml(text, monkeypatch):
+    # "!" opens a tag only where a token may start; anywhere else the pure
+    # loader need not read the document.
+    loaders = []
+    compose = yaml.compose
+
+    def recording(text, Loader):
+        loaders.append(Loader)
+        return compose(text, Loader=Loader)
+
+    monkeypatch.setattr(yaml, "compose", recording)
+    parse(text)
     assert loaders == [yamlio._LIBYAML_LOADER]
 
 

@@ -74,6 +74,11 @@ class TestFeatureValue:
         with pytest.raises(ModelError):
             FeatureValue.numeric("NaN")
 
+    @pytest.mark.parametrize("value", ["abc", "", None, 0.1, [1], True])
+    def test_numeric_refuses_what_is_not_an_exact_number(self, value):
+        with pytest.raises(ModelError):
+            FeatureValue.numeric(value)
+
     def test_kind_mismatch_rejected(self):
         with pytest.raises(ModelError):
             FeatureValue(ValueKind.BOOLEAN, "true")

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from pricebook import (
     AddOnNotAvailableError,
     ClockBeforeStartError,
+    ContractPeriodError,
     FeatureValue,
+    ModelError,
     NonPositiveAmountError,
     Period,
     PeriodUnit,
@@ -464,6 +466,22 @@ class TestStatePersistence:
         widest = 10**1001 - 1  # exponent 1000, the bound
         text = json.dumps({**state, "contractPeriod": {"value": widest, "unit": "MONTH"}})
         assert subscription_from_json(zoom, text).contract_period == Period(widest, PeriodUnit.MONTH)
+
+    def test_contract_period_past_the_bound_is_refused_at_creation(self, zoom):
+        for value in (10**1001, 10**1200, 10**5000):
+            with pytest.raises(ModelError, match="exponent"):
+                create_subscription(zoom, "PRO", [], T0, Period(value, PeriodUnit.DAY))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(st.integers(1, 400), st.integers(10**999, 10**1001 + 1),
+                     st.sampled_from([10**1200, 10**1001 - 1])),
+           st.sampled_from(PeriodUnit))
+    def test_every_subscription_created_round_trips(self, zoom, value, unit):
+        try:
+            sub = create_subscription(zoom, "PRO", ["hugeMeetings"], T0, Period(value, unit))
+        except (ModelError, ContractPeriodError):
+            return
+        assert subscription_from_json(zoom, subscription_to_json(zoom, sub)) == sub
 
     def test_malformed_state_rejected(self, zoom):
         with pytest.raises(ValueError):
