@@ -196,8 +196,8 @@ def test_same_outcome_at_the_nesting_bounds(text):
     assert outcome(text) == pure_outcome(text)
 
 
-@pytest.mark.skipif(yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")
-def test_plain_documents_compose_on_libyaml(zoom_text, monkeypatch):
+def loaders_composing(text, monkeypatch):
+    """The loaders ``parse`` composes a text on, in order."""
     loaders = []
     compose = yaml.compose
 
@@ -206,8 +206,13 @@ def test_plain_documents_compose_on_libyaml(zoom_text, monkeypatch):
         return compose(text, Loader=Loader)
 
     monkeypatch.setattr(yaml, "compose", recording)
-    parse(zoom_text)
-    assert loaders == [yamlio._LIBYAML_LOADER]
+    parse(text)
+    return loaders
+
+
+@pytest.mark.skipif(yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")
+def test_plain_documents_compose_on_libyaml(zoom_text, monkeypatch):
+    assert loaders_composing(zoom_text, monkeypatch) == [yamlio._LIBYAML_LOADER]
 
 
 @pytest.mark.skipif(yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")
@@ -219,16 +224,7 @@ def test_plain_documents_compose_on_libyaml(zoom_text, monkeypatch):
 def test_exclamation_marks_inside_text_compose_on_libyaml(text, monkeypatch):
     # "!" opens a tag only where a token may start; anywhere else the pure
     # loader need not read the document.
-    loaders = []
-    compose = yaml.compose
-
-    def recording(text, Loader):
-        loaders.append(Loader)
-        return compose(text, Loader=Loader)
-
-    monkeypatch.setattr(yaml, "compose", recording)
-    parse(text)
-    assert loaders == [yamlio._LIBYAML_LOADER]
+    assert loaders_composing(text, monkeypatch) == [yamlio._LIBYAML_LOADER]
 
 
 def test_deep_nesting_is_a_syntax_error_in_a_child_process():
