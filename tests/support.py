@@ -891,3 +891,52 @@ plans:
   P:
     price: 1
 """
+
+
+# A pricing whose 2nd, 5th and 6th usage limits share a monthly window
+# (equal periods, each read into its own object), between a daily, a
+# non-renewable and a weekly one; catalog order is not alphabetical order.
+SHARED_PERIODS_DOC = """saasName: Shared
+version: "1"
+currency: USD
+billingPeriod:
+  value: 1
+  unit: YEAR
+features:
+  calls:
+    type: DOMAIN
+    defaultValue: true
+usageLimits:
+  daily:
+    type: RENEWABLE
+    metric: calls
+    period: {value: 1, unit: DAY}
+    defaultValue: 10
+  monthlyB:
+    type: RENEWABLE
+    metric: calls
+    period: {value: 1, unit: MONTH}
+    defaultValue: 10
+  total:
+    type: NON_RENEWABLE
+    metric: calls
+    defaultValue: 10
+  weekly:
+    type: RENEWABLE
+    metric: calls
+    period: {value: 1, unit: WEEK}
+    defaultValue: 10
+  monthlyA:
+    type: RENEWABLE
+    metric: calls
+    period: {value: 1, unit: MONTH}
+    defaultValue: 10
+  monthlyC:
+    type: RENEWABLE
+    metric: calls
+    period: {value: 1, unit: MONTH}
+    defaultValue: 10
+plans:
+  P:
+    price: 1
+"""

@@ -10,7 +10,7 @@ import pytest
 from pricebook import create_subscription, parse, parse_instant, serialize, subscription_to_json
 from pricebook.cli import main
 
-from support import DAILY_DOC, from_raw, to_raw
+from support import DAILY_DOC, SHARED_PERIODS_DOC, from_raw, to_raw
 
 T0 = "2024-01-31T12:00:00Z"
 
@@ -317,3 +317,25 @@ class TestCalendarEnd:
                              "--limit", "callsPerDay", "--amount", "1")
         assert (code, out) == (3, "")
         assert "windowIndex" in err
+
+
+class TestStateErrorOrder:
+    """A state file with several bad counters exits 3 naming the first in catalog order."""
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"monthlyB": 10**6, "monthlyA": 10**6}, "'monthlyB' has a windowIndex past the calendar"),
+        ({"monthlyB": 0, "monthlyA": "0", "monthlyC": 10**6}, "'monthlyA' needs a windowIndex"),
+    ])
+    def test_first_bad_counter_exit_3(self, capsys, tmp_path, entries, message):
+        doc = tmp_path / "shared.yml"
+        doc.write_text(SHARED_PERIODS_DOC, encoding="utf-8")
+        pricing = parse(SHARED_PERIODS_DOC)
+        state = json.loads(subscription_to_json(
+            pricing, create_subscription(pricing, "P", [], parse_instant(T0))))
+        for name, index in entries.items():
+            state["usage"][name]["windowIndex"] = index
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state), encoding="utf-8")
+        for argv in (["consume", "--limit", "daily", "--amount", "1"], ["evaluate", "--all"]):
+            code, out, err = run(capsys, argv[0], str(doc), "--subscription", str(path), *argv[1:])
+            assert (code, out, err) == (3, "", f"error: {path}: usage entry for {message}\n")

@@ -42,6 +42,7 @@ from pricebook.periods import advance, latest_window_index, window_started
 
 from support import (
     DAILY_DOC,
+    SHARED_PERIODS_DOC,
     engine_replay,
     oracle_replay,
     oracle_window_index,
@@ -516,3 +517,58 @@ class TestCalendarEnd:
         for text in ("9999-12-31T23:00:00-05:00", "0001-01-01T01:00:00+05:00"):
             with pytest.raises(ValueError):
                 parse_instant(text)
+
+
+class TestMalformedStateOrder:
+    """A state with several bad counters names the first one in catalog order,
+    also where counters share a period and a window index."""
+
+    @pytest.fixture()
+    def shared(self):
+        return parse(SHARED_PERIODS_DOC)
+
+    @staticmethod
+    def _state_text(pricing, reverse=False, **entries):
+        state = json.loads(subscription_to_json(pricing, create_subscription(pricing, "P", [], T0)))
+        for name, index in entries.items():
+            state["usage"][name]["windowIndex"] = index
+        if reverse:  # the document's key order is not the order of the checks
+            state["usage"] = dict(reversed(state["usage"].items()))
+        return json.dumps(state)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("indices", [(10**6, 10**6), (10**12, 10**6), (10**6, 10**12)])
+    def test_two_counters_past_the_calendar_name_the_first(self, shared, reverse, indices):
+        text = self._state_text(shared, reverse, monthlyB=indices[0], monthlyA=indices[1])
+        with pytest.raises(ValueError) as caught:
+            subscription_from_json(shared, text)
+        assert str(caught.value) == "usage entry for 'monthlyB' has a windowIndex past the calendar"
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("bad", ["0", True, -1, 0.0, None, [0]])
+    def test_a_bad_index_after_a_good_one_of_the_same_window_is_named(self, shared, reverse, bad):
+        text = self._state_text(shared, reverse, monthlyB=0, monthlyA=bad, monthlyC=10**6)
+        with pytest.raises(ValueError) as caught:
+            subscription_from_json(shared, text)
+        assert str(caught.value) == "usage entry for 'monthlyA' needs a windowIndex"
+
+    def test_a_good_index_after_a_bad_one_of_the_same_window_does_not_hide_it(self, shared):
+        text = self._state_text(shared, monthlyB=10**6, monthlyA=0, monthlyC=10**6)
+        with pytest.raises(ValueError, match="^usage entry for 'monthlyB' has a windowIndex"):
+            subscription_from_json(shared, text)
+        text = self._state_text(shared, monthlyB=0, monthlyA=10**6, monthlyC=0)
+        with pytest.raises(ValueError, match="^usage entry for 'monthlyA' has a windowIndex"):
+            subscription_from_json(shared, text)
+
+    def test_counters_sharing_a_window_read_back(self, shared):
+        text = self._state_text(shared, monthlyB=2, monthlyA=2, monthlyC=3, weekly=2, daily=3)
+        again = subscription_from_json(shared, text)
+        assert [(state.window_start, state.window_index) for state in again.usage.values()] == [
+            (parse_instant("2024-02-03T12:00:00Z"), 3),
+            (parse_instant("2024-03-31T12:00:00Z"), 2),
+            (None, None),
+            (parse_instant("2024-02-14T12:00:00Z"), 2),
+            (parse_instant("2024-03-31T12:00:00Z"), 2),
+            (parse_instant("2024-04-30T12:00:00Z"), 3),
+        ]
+        assert subscription_from_json(shared, subscription_to_json(shared, again)) == again
