@@ -56,6 +56,18 @@ __all__ = [
 MAX_EXPONENT = 1000
 
 
+def to_decimal(value: Decimal | int | str, what: str) -> Decimal:
+    """A Decimal, an int or numeric text as a Decimal; ModelError names ``what``
+    for anything else. A float is refused, since it holds a binary fraction
+    and not the decimal it was written as, and so is a bool."""
+    if isinstance(value, bool) or not isinstance(value, (Decimal, int, str)):
+        raise ModelError(f"{what} must be a Decimal, an int or text, got {type(value).__name__}")
+    try:
+        return Decimal(value)
+    except ArithmeticError:
+        raise ModelError(f"{what} is not a number, got {value!r}") from None
+
+
 def exponent_in_range(value: Decimal) -> bool:
     """Whether a finite number's exponent lies within +-``MAX_EXPONENT``."""
     return -MAX_EXPONENT <= value.adjusted() <= MAX_EXPONENT
@@ -159,15 +171,8 @@ class FeatureValue:
 
     @classmethod
     def numeric(cls, value: Decimal | int | str) -> "FeatureValue":
-        """A number from a Decimal, an int or numeric text; a float is refused,
-        since it holds a binary fraction and not the decimal it was written as."""
-        if isinstance(value, bool) or not isinstance(value, (Decimal, int, str)):
-            raise ModelError(f"numeric value must be a Decimal, an int or text, got {type(value).__name__}")
-        try:
-            number = Decimal(value)
-        except ArithmeticError:
-            raise ModelError(f"numeric value is not a number, got {value!r}") from None
-        return cls(ValueKind.NUMERIC, number)
+        """A number from a Decimal, an int or numeric text (see ``to_decimal``)."""
+        return cls(ValueKind.NUMERIC, to_decimal(value, "numeric value"))
 
     @classmethod
     def text(cls, value: str) -> "FeatureValue":

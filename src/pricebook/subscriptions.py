@@ -33,7 +33,7 @@ from .errors import (
     UnknownPlanError,
 )
 from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, out_of_range,
-                    to_json)
+                    to_decimal, to_json)
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -147,17 +147,20 @@ def create_subscription(
 ) -> Subscription:
     """New subscription with zeroed usage and windows anchored at start.
 
-    The contract period defaults to the pricing's billing period; one past
-    the exponent bound raises ModelError, since its state file could not be
-    read back. Any limit whose window outlasts the contract is refused
-    outright: it could never renew within the subscription.
+    The contract period defaults to the pricing's billing period; anything
+    but a ``Period``, or one past the exponent bound, raises ModelError, since
+    its state file could not be read back. Any limit whose window outlasts
+    the contract is refused outright: it could never renew within the
+    subscription.
     """
     if plan_name not in pricing.plans:
         raise UnknownPlanError(plan_name)
     names = frozenset(add_on_names)
     _check_add_ons(pricing, plan_name, sorted(names))
     start = _check_instant(start_instant)
-    contract = contract_period or pricing.billing_period
+    contract = pricing.billing_period if contract_period is None else contract_period
+    if not isinstance(contract, Period):
+        raise ModelError(f"contract period must be a Period, got {contract!r}")
     problem = out_of_range(Period, contract)
     if problem is not None:  # the bound subscription_from_state applies
         raise ModelError(f"contract period: {problem}")
@@ -222,7 +225,9 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
     """Advance every periodic limit to the window containing ``now``.
 
     A window advance resets the counter to zero. Idempotent for a fixed
-    ``now``; windows never regress.
+    ``now``; windows never regress. Counters whose periods are equal and
+    that sit in the same window renew together: the call checks each
+    distinct (period, window index) once and shares the renewed counter.
     """
     now = _check_instant(now)
     if now < subscription.start_instant:
@@ -232,21 +237,40 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
         )
     start = subscription.start_instant
     renewed: dict[str, UsageState] | None = None
+    # (period, window index) -> the renewed counter, or None while the window runs
+    windows: dict[tuple, UsageState | None] = {}
     for name, state in subscription.usage.items():
-        if state.window_index is None:
+        index = state.window_index
+        if index is None:
             continue
         limit = pricing.usage_limits.get(name)
         if limit is None or limit.period is None:
             continue
-        if not window_started(start, limit.period, state.window_index, now):
+        period = limit.period
+        key = _window_key(period, index)
+        if key not in windows:
+            windows[key] = None
+            if window_started(start, period, index, now):
+                k = latest_window_index(start, period, now)
+                windows[key] = UsageState(Decimal(0), advance(start, period, k), k)
+        fresh = windows[key]
+        if fresh is None:
             continue
         if renewed is None:
             renewed = dict(subscription.usage)
-        k = latest_window_index(start, limit.period, now)
-        renewed[name] = UsageState(Decimal(0), advance(start, limit.period, k), k)
+        renewed[name] = fresh
     if renewed is None:
         return subscription
     return replace(subscription, usage=renewed)
+
+
+def _window_key(period: Period, index: int) -> tuple:
+    """Key of window ``index`` of a period, equal for equal periods.
+
+    The unit enters by identity: hashing an ``Enum`` member runs
+    Python-level code (see ``periods._span_seconds``).
+    """
+    return period.value, id(period.unit), index
 
 
 def _evaluate(
@@ -315,16 +339,21 @@ def record_usage(
 ) -> Subscription:
     """Consume quota; all-or-nothing.
 
-    Raises QuotaExceededError without any state change when the recording
+    The amount is a Decimal, an int or numeric text, never a float or a
+    bool, with its exponent within the bound; anything else raises
+    ModelError. Raises QuotaExceededError without any state change when the recording
     would push usage past the effective limit. The amount's meaning
     follows the limit's kind: units of the metric, a per-request cost, or
     elapsed time.
     """
     if limit_name not in pricing.usage_limits:
         raise UnknownLimitError(limit_name)
-    amount = Decimal(amount)
+    amount = to_decimal(amount, "usage amount")
     if not amount.is_finite() or amount <= 0:
         raise NonPositiveAmountError(amount)
+    if not exponent_in_range(amount):  # its state file could not be read back
+        raise ModelError(f"usage amount exponent must lie within "
+                         f"-{MAX_EXPONENT}..{MAX_EXPONENT}, got {amount}")
     lapsed = lapse_windows(pricing, subscription, now)
     effective = effective_limit(pricing, lapsed, limit_name)
     state = lapsed.usage[limit_name]
@@ -369,7 +398,9 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     """Rebuild a subscription from its persisted form, checking the binding.
 
     Raises ValueError when the document is malformed or does not refer to
-    this pricing; unknown plans and add-ons raise their specific errors.
+    this pricing, naming the first bad counter in catalog order; unknown
+    plans and add-ons raise their specific errors. Each distinct window
+    start, a (period, window index), is worked out once.
     """
     if not isinstance(state, dict):
         raise ValueError("subscription state must be a JSON object")
@@ -403,6 +434,7 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     if not isinstance(usage_doc, dict) or set(usage_doc) != set(pricing.usage_limits):
         raise ValueError("usage map does not match this pricing's usage limits")
     usage: dict[str, UsageState] = {}
+    window_starts: dict[tuple, datetime] = {}
     for name, limit in pricing.usage_limits.items():
         entry = usage_doc[name]
         if not isinstance(entry, dict) or "used" not in entry:
@@ -420,12 +452,15 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
             index = entry.get("windowIndex")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"usage entry for {name!r} needs a windowIndex")
-            try:
-                window_start = advance(start, limit.period, index)
-            except (OverflowError, ValueError):
-                raise ValueError(
-                    f"usage entry for {name!r} has a windowIndex past the calendar"
-                ) from None
+            key = _window_key(limit.period, index)
+            window_start = window_starts.get(key)
+            if window_start is None:
+                try:
+                    window_start = window_starts[key] = advance(start, limit.period, index)
+                except (OverflowError, ValueError):
+                    raise ValueError(
+                        f"usage entry for {name!r} has a windowIndex past the calendar"
+                    ) from None
             usage[name] = UsageState(used, window_start, index)
         else:
             usage[name] = UsageState(used)

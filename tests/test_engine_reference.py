@@ -7,18 +7,25 @@ truthy, and R1 and ``classify_features`` compare plans' override maps. The refer
 slow way: resolve the whole plan with ``resolve_plan``, scan every feature
 and every add-on in catalog order, and step every periodic window with
 ``latest_window_index``. Agreement covers values and their exponents, the
-order of linked limits, and which of several grants wins.
+order of linked limits, and which of several grants wins. Renewal and the
+state-file load work out each distinct (period, window index) once; their
+references do the window arithmetic again for every counter.
 """
 
+import calendar
 import json
 import random
 from collections import Counter
 from dataclasses import replace
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 from itertools import combinations, cycle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pricebook.subscriptions as subscriptions
 
 from pricebook import (
     AddOn,
@@ -40,6 +47,7 @@ from pricebook import (
     UsageLimit,
     UsageState,
     ValidationReport,
+    Subscription,
     ValueKind,
     Violation,
     classify_features,
@@ -49,12 +57,14 @@ from pricebook import (
     evaluate_feature,
     evaluation_context,
     impact,
+    lapse_windows,
     parse_instant,
     pricing_stats,
     resolve_plan,
     validate,
 )
-from pricebook.periods import advance, latest_window_index
+from pricebook.periods import advance, latest_window_index, window_started
+from pricebook.subscriptions import subscription_from_state, subscription_to_state
 
 from support import engine_replay, mutate_pricing, random_events, random_pricing
 
@@ -455,3 +465,151 @@ def test_r1_and_classes_equal_whole_catalog_reference():
             seen["specific"] += FeatureClass.SPECIFIC in classes.values()
         seen["duplicates"] += bool(duplicates)
     assert min(seen.values()) >= 5, seen
+
+
+# -- windows shared by counters ------------------------------------------------
+
+def per_counter_lapse(pricing, subscription, now):
+    """``lapse_windows`` with each periodic counter checking its own window."""
+    start = subscription.start_instant
+    usage = dict(subscription.usage)
+    for name, state in subscription.usage.items():
+        limit = pricing.usage_limits.get(name)
+        if limit is None or limit.period is None or state.window_index is None:
+            continue
+        if window_started(start, limit.period, state.window_index, now):
+            k = latest_window_index(start, limit.period, now)
+            usage[name] = UsageState(Decimal(0), advance(start, limit.period, k), k)
+    return replace(subscription, usage=usage)
+
+
+def per_counter_from_state(pricing, state):
+    """``subscription_from_state`` of a well-formed state, one ``advance`` per counter."""
+    start = parse_instant(state["startInstant"])
+    usage = {}
+    for name, limit in pricing.usage_limits.items():
+        entry = state["usage"][name]
+        used = Decimal(entry["used"])
+        if limit.period is None:
+            usage[name] = UsageState(used)
+        else:
+            index = entry["windowIndex"]
+            usage[name] = UsageState(used, advance(start, limit.period, index), index)
+    contract = state["contractPeriod"]
+    return Subscription(state["plan"], frozenset(state["addOns"]), start,
+                        Period(contract["value"], PeriodUnit(contract["unit"])), usage)
+
+
+def _counters(subscription):
+    return [(name, repr(state.used), repr(state.window_start), state.window_index)
+            for name, state in subscription.usage.items()]
+
+
+_LAST = parse_instant("9999-12-31T23:59:59Z")
+
+
+@st.composite
+def _shared_window_cases(draw):
+    """A pricing whose periodic limits outnumber its distinct periods, each limit
+    holding its own ``Period`` object, and a subscription to it with counters in
+    windows 0-3 and around the current one; anchors at month ends and near the
+    end of the calendar."""
+    pool = draw(st.lists(st.tuples(st.integers(1, 3), st.sampled_from(list(PeriodUnit))),
+                         min_size=1, max_size=3, unique=True))
+    periodic = draw(st.lists(st.sampled_from(pool), min_size=len(pool) + 1, max_size=9))
+    shapes = draw(st.permutations(periodic + [None] * draw(st.integers(0, 2))))
+    limits = {}
+    for i, shape in enumerate(shapes):
+        name = f"limit{i}"
+        limits[name] = (UsageLimit(name, LimitKind.NON_RENEWABLE, "calls", Decimal(5))
+                        if shape is None else
+                        UsageLimit(name, LimitKind.RENEWABLE, "calls", Decimal(5),
+                                   period=Period(*shape)))
+    pricing = Pricing("Shared", "1", "USD", Period(1, PeriodUnit.YEAR), {}, limits,
+                      {"P": Plan("P", Decimal(1))}, {})
+    year = draw(st.sampled_from([2023, 2024, 9998, 9999]))
+    month, day = draw(st.sampled_from([(1, 31), (2, 28), (2, 29), (4, 30), (12, 31), (3, 15)]))
+    seconds = draw(st.integers(0, 86399))
+    start = datetime(year, month, min(day, calendar.monthrange(year, month)[1]),
+                     seconds // 3600, seconds // 60 % 60, seconds % 60, tzinfo=timezone.utc)
+    span = draw(st.sampled_from([2 * 86400, 40 * 86400, 400 * 86400, 4 * 366 * 86400]))
+    now = start + min(timedelta(seconds=draw(st.integers(0, span))), _LAST - start)
+    usage = {}
+    for name, limit in limits.items():
+        used = draw(st.sampled_from([Decimal(0), Decimal("2.50"), Decimal("1E+2")]))
+        if limit.period is None:
+            usage[name] = UsageState(used)
+            continue
+        latest = latest_window_index(start, limit.period, now)
+        index = draw(st.sampled_from(sorted({0, 1, 2, 3, latest, latest + 1})))
+        try:
+            window_start = advance(start, limit.period, index)
+        except (OverflowError, ValueError):  # a window past the calendar
+            index, window_start = 0, start
+        usage[name] = UsageState(used, window_start, index)
+    subscription = Subscription("P", frozenset(), start, Period(3, PeriodUnit.YEAR), usage)
+    return pricing, subscription, now
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_window_cases())
+def test_shared_windows_equal_per_counter_reference(case):
+    pricing, sub, now = case
+    lapsed = lapse_windows(pricing, sub, now)
+    want = per_counter_lapse(pricing, sub, now)
+    assert lapsed == want == reference_lapse(pricing, sub, now)
+    assert _counters(lapsed) == _counters(want)
+    for subscription in (sub, lapsed):
+        state = json.loads(json.dumps(subscription_to_state(pricing, subscription)))
+        loaded = subscription_from_state(pricing, state)
+        want = per_counter_from_state(pricing, state)
+        assert loaded == want == subscription
+        assert _counters(loaded) == _counters(want)
+
+
+def test_window_arithmetic_runs_once_per_distinct_window(monkeypatch):
+    # 60 periodic limits over three periods, each limit holding its own Period.
+    periods = [(1, PeriodUnit.DAY), (1, PeriodUnit.WEEK), (1, PeriodUnit.MONTH)]
+    limits = {f"limit{i}": UsageLimit(f"limit{i}", LimitKind.RENEWABLE, "calls", Decimal(5),
+                                      period=Period(*periods[i % 3]))
+              for i in range(60)}
+    limits["total"] = UsageLimit("total", LimitKind.NON_RENEWABLE, "calls", Decimal(5))
+    pricing = Pricing("Wide", "1", "USD", Period(1, PeriodUnit.MONTH), {}, limits,
+                      {"P": Plan("P", Decimal(1))}, {})
+    sub = create_subscription(pricing, "P", [], T0)
+    # Windows 0-3 of each period: twelve distinct (period, window index) keys.
+    late = T0 + timedelta(days=100)
+    sub = replace(sub, usage={
+        name: state if state.window_index is None else
+        UsageState(Decimal(1), advance(T0, pricing.usage_limits[name].period, i // 3 % 4),
+                   i // 3 % 4)
+        for i, (name, state) in enumerate(sub.usage.items())})
+    keys = {(pricing.usage_limits[name].period, state.window_index)
+            for name, state in sub.usage.items() if state.window_index is not None}
+    assert len(keys) == 12
+    state = subscription_to_state(pricing, sub)
+    want_lapsed = per_counter_lapse(pricing, sub, late)
+    want_loaded = per_counter_from_state(pricing, state)
+
+    calls = Counter()
+
+    def counted(name):
+        function = getattr(subscriptions, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(subscriptions, name, wrapper)
+
+    for name in ("window_started", "latest_window_index", "advance"):
+        counted(name)
+    for now in (T0, T0 + timedelta(days=9), late):  # none, some and every window renewed
+        calls.clear()
+        assert lapse_windows(pricing, sub, now) == per_counter_lapse(pricing, sub, now)
+        assert 0 < calls["window_started"] <= len(keys)
+        assert calls["latest_window_index"] == calls["advance"] <= len(keys)
+    assert calls["advance"] > 0 and want_lapsed != sub
+    calls.clear()
+    assert subscription_from_state(pricing, state) == want_loaded == sub
+    assert 0 < calls["advance"] <= len(keys)
+    assert calls["window_started"] == calls["latest_window_index"] == 0

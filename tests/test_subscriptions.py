@@ -64,6 +64,12 @@ def pro_huge(zoom):
     return create_subscription(zoom, "PRO", ["hugeMeetings"], T0)
 
 
+# Decimals of up to 40 digits with exponents on both sides of the bound.
+_DECIMALS = st.builds(lambda sign, digits, exponent: Decimal((sign, tuple(digits), exponent)),
+                      st.integers(0, 1), st.lists(st.integers(0, 9), min_size=1, max_size=40),
+                      st.one_of(st.integers(-1045, -960), st.integers(-6, 4), st.integers(960, 1010)))
+
+
 class TestCreate:
     def test_usage_starts_at_zero(self, zoom, pro_huge):
         assert set(pro_huge.usage) == set(zoom.usage_limits)
@@ -84,6 +90,11 @@ class TestCreate:
     def test_add_on_not_available_for_plan(self, zoom):
         with pytest.raises(AddOnNotAvailableError):
             create_subscription(zoom, "BASIC", ["hugeMeetings"], T0)
+
+    def test_contract_period_must_be_a_period(self, zoom):
+        for contract in ("x", 5, (1, "MONTH"), {"value": 1, "unit": "MONTH"}, 0, "", ()):
+            with pytest.raises(ModelError, match="^contract period must be a Period"):
+                create_subscription(zoom, "PRO", [], T0, contract)
 
     def test_add_ons_are_checked_in_each_callers_order(self, zoom, pro_huge):
         # A new subscription checks its add-ons in name order, a state file in its own.
@@ -192,6 +203,40 @@ class TestRecordUsage:
     def test_non_positive_amount(self, zoom, pro):
         with pytest.raises(NonPositiveAmountError):
             record_usage(zoom, pro, "maxAssistantsPerMeeting", Decimal(0), T0)
+
+    def test_amount_is_an_exact_decimal(self, zoom, pro):
+        for amount, used in [(Decimal("0.1"), "0.1"), ("0.1", "0.1"), (" 2.50 ", "2.50"), (3, "3")]:
+            sub = record_usage(zoom, pro, "aiCompanionCredits", amount, T0)
+            assert str(sub.usage["aiCompanionCredits"].used) == used
+        for amount in (0.1, 1.0, True, False, None, "abc", "", b"1", [1], complex(1)):
+            with pytest.raises(ModelError, match="^usage amount"):
+                record_usage(zoom, pro, "aiCompanionCredits", amount, T0)
+        for amount in ("-1", Decimal("NaN"), "inf"):
+            with pytest.raises(NonPositiveAmountError):
+                record_usage(zoom, pro, "aiCompanionCredits", amount, T0)
+
+    def test_amount_exponent_is_bounded(self, zoom, pro):
+        for amount in (Decimal("1e-5000"), Decimal("1e-1001"), "1e-1001", Decimal("1e1001")):
+            with pytest.raises(ModelError, match="^usage amount exponent must lie within"):
+                record_usage(zoom, pro, "aiCompanionCredits", amount, T0)
+        sub = record_usage(zoom, pro, "aiCompanionCredits", Decimal("1e-1000"), T0)
+        assert subscription_from_json(zoom, subscription_to_json(zoom, sub)) == sub
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["maxAssistantsPerMeeting", "cloudStorageCapacity",
+                                               "maxTimePerMeeting", "aiCompanionCredits"]),
+                              st.one_of(_DECIMALS, _DECIMALS.map(str), st.integers(-5, 2000),
+                                        st.floats(), st.booleans(), st.none(), st.text(max_size=4)),
+                              st.integers(0, 90 * 86400)),
+                    min_size=1, max_size=8))
+    def test_every_recorded_subscription_reads_back(self, zoom, steps):
+        sub = create_subscription(zoom, "PRO", ["hugeMeetings"], T0)
+        for limit, amount, seconds in sorted(steps, key=lambda step: step[2]):
+            try:
+                sub = record_usage(zoom, sub, limit, amount, T0 + timedelta(seconds=seconds))
+            except (ModelError, NonPositiveAmountError, QuotaExceededError):
+                continue
+            assert subscription_from_json(zoom, subscription_to_json(zoom, sub)) == sub
 
     def test_renewable_window_lapse_resets_counter(self, zoom, pro):
         day1 = parse_instant("2024-02-01T12:00:00Z")
