@@ -339,12 +339,12 @@ def record_usage(
 ) -> Subscription:
     """Consume quota; all-or-nothing.
 
-    The amount is a Decimal, an int or numeric text, never a float or a
-    bool, with its exponent within the bound; anything else raises
-    ModelError. Raises QuotaExceededError without any state change when the recording
+    Raises QuotaExceededError without any state change when the recording
     would push usage past the effective limit. The amount's meaning
     follows the limit's kind: units of the metric, a per-request cost, or
-    elapsed time.
+    elapsed time. It is a Decimal, an int or numeric text, never a float or
+    a bool, with its exponent within the bound; anything else raises
+    ModelError.
     """
     if limit_name not in pricing.usage_limits:
         raise UnknownLimitError(limit_name)

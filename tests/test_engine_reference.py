@@ -578,7 +578,6 @@ def test_window_arithmetic_runs_once_per_distinct_window(monkeypatch):
                       {"P": Plan("P", Decimal(1))}, {})
     sub = create_subscription(pricing, "P", [], T0)
     # Windows 0-3 of each period: twelve distinct (period, window index) keys.
-    late = T0 + timedelta(days=100)
     sub = replace(sub, usage={
         name: state if state.window_index is None else
         UsageState(Decimal(1), advance(T0, pricing.usage_limits[name].period, i // 3 % 4),
@@ -588,7 +587,6 @@ def test_window_arithmetic_runs_once_per_distinct_window(monkeypatch):
             for name, state in sub.usage.items() if state.window_index is not None}
     assert len(keys) == 12
     state = subscription_to_state(pricing, sub)
-    want_lapsed = per_counter_lapse(pricing, sub, late)
     want_loaded = per_counter_from_state(pricing, state)
 
     calls = Counter()
@@ -603,12 +601,13 @@ def test_window_arithmetic_runs_once_per_distinct_window(monkeypatch):
 
     for name in ("window_started", "latest_window_index", "advance"):
         counted(name)
-    for now in (T0, T0 + timedelta(days=9), late):  # none, some and every window renewed
+    for days in (0, 9, 100):  # no window, some and every window renewed
+        now = T0 + timedelta(days=days)
         calls.clear()
         assert lapse_windows(pricing, sub, now) == per_counter_lapse(pricing, sub, now)
         assert 0 < calls["window_started"] <= len(keys)
         assert calls["latest_window_index"] == calls["advance"] <= len(keys)
-    assert calls["advance"] > 0 and want_lapsed != sub
+    assert calls["advance"] > 0  # the last instant renewed windows
     calls.clear()
     assert subscription_from_state(pricing, state) == want_loaded == sub
     assert 0 < calls["advance"] <= len(keys)
