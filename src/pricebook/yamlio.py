@@ -131,7 +131,7 @@ def parse(text: str) -> Pricing:
                 if not reader.at_empty_scalar:
                     raise
     try:
-        root = yaml.compose(text, Loader=yaml.SafeLoader)
+        root = yaml.compose(text, Loader=_PURE_LOADER)
     except yaml.YAMLError as exc:
         raise DocumentError([_yaml_error(exc, text)]) from None
     except RecursionError:
@@ -169,7 +169,30 @@ def parse(text: str) -> Pricing:
 #   "\n" or a lone "\r", both of which are line breaks to both loaders. With
 #   the bounds below no text read on libyaml nests deeper than
 #   255 + 2 * 63 + 2 = 383 levels.
-_LIBYAML_LOADER = getattr(yaml, "CSafeLoader", None)
+#
+# Both loaders resolve no tags. ``_Reader`` never reads ``node.tag``: it
+# classifies a plain scalar by its own text, so an explicit tag such as
+# "!!str 0" changes nothing. Resolving costs libyaml's C composer three
+# calls back into Python per node (``descend_resolver``, ``resolve`` and
+# ``ascend_resolver``), about a third of a compose; the regexes those
+# calls run are not the cost, so memoizing ``resolve`` saves nothing.
+# The subclasses leave PyYAML's own loader classes as they are.
+class _Untagged:
+    """A loader mixin that resolves no tags: nodes keep only explicit ones."""
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+    def resolve(self, kind, value, implicit):
+        return None
+
+
+_PURE_LOADER = type("PureLoader", (_Untagged, yaml.SafeLoader), {})
+_LIBYAML_LOADER = (type("LibyamlLoader", (_Untagged, yaml.CSafeLoader), {})
+                   if hasattr(yaml, "CSafeLoader") else None)
 _PURE_ONLY_CHARS = "\t\x85\u2028\u2029?"
 # Each pattern opens with one literal character, which a search skips to
 # quickly; "[|>]" or a look-behind first would test every position.

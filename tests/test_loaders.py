@@ -5,7 +5,9 @@ the pure loader only. It recomputes with the pure loader every YAML error
 and every schema error located at an empty plain scalar; other schema
 errors it reports from libyaml's nodes. These tests hold the default path
 to the pure loader's outcome: the same canonical text, or the same errors
-with the same marks and messages.
+with the same marks and messages. Both of ``parse``'s loaders resolve no
+tags; they are held to PyYAML's own loaders of the same kind, which are
+left as they were.
 """
 
 import os
@@ -69,12 +71,19 @@ def test_same_outcome_as_pure_loader(text):
     assert outcome(text) == pure_outcome(text)
 
 
+def fuzz_documents():
+    """The CLI fuzz document with each line taking, in turn, each value of
+    its alphabet, which leaves most documents with a single error or none."""
+    for i, line in enumerate(DOC_LINES):
+        key, colon, _ = line.partition(":")
+        for value in EDGE_TEXT + ["", "- x", "\t", "?"] if colon else ():
+            yield "\n".join([*DOC_LINES[:i], f"{key}: {value}", *DOC_LINES[i + 1:]])
+
+
 @pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
 def test_parsed_documents_never_reach_the_model_safety_net(pure):
     # Parser and model share their rules, so ``_Reader.read``'s ``except
     # ModelError`` is never taken: a document that reads builds its Pricing.
-    # Each line of the CLI fuzz document takes, in turn, each value of its
-    # alphabet, which leaves most documents with a single error or none.
     refused = []
     check = Pricing.__post_init__
 
@@ -87,11 +96,8 @@ def test_parsed_documents_never_reach_the_model_safety_net(pure):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(Pricing, "__post_init__", recording)
-        for i, line in enumerate(DOC_LINES):
-            key, colon, _ = line.partition(":")
-            for value in EDGE_TEXT + ["", "- x", "\t", "?"] if colon else ():
-                lines = [*DOC_LINES[:i], f"{key}: {value}", *DOC_LINES[i + 1:]]
-                (pure_outcome if pure else outcome)("\n".join(lines))
+        for text in fuzz_documents():
+            (pure_outcome if pure else outcome)(text)
     assert refused == []
 
 
@@ -176,6 +182,71 @@ def test_libyaml_composes_the_pure_loaders_node_graph(text):
     except (yaml.YAMLError, UnicodeError):
         return
     assert node_graph(root) == node_graph(yaml.compose(text, Loader=yaml.SafeLoader))
+
+
+# pricebook's loaders, which resolve no tags, next to PyYAML's own of the same kind.
+UNTAGGED_AND_STOCK = [pytest.param(yamlio._PURE_LOADER, yaml.SafeLoader, id="pure")]
+if yamlio._LIBYAML_LOADER is not None:
+    UNTAGGED_AND_STOCK.insert(
+        0, pytest.param(yamlio._LIBYAML_LOADER, yaml.CSafeLoader, id="libyaml"))
+
+
+def read_outcome(text, loader):
+    """What the walk makes of a text composed on ``loader``: canonical text,
+    the error lines, or the YAML error."""
+    try:
+        root = yaml.compose(text, Loader=loader)
+    except (yaml.YAMLError, UnicodeError, RecursionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    try:
+        return serialize(yamlio._Reader().read(root))
+    except DocumentError as exc:
+        return [str(e) for e in exc.errors]
+
+
+@pytest.mark.parametrize("untagged, stock", UNTAGGED_AND_STOCK)
+def test_untagged_loaders_read_as_the_stock_ones_on_the_fuzz_documents(untagged, stock):
+    # The walk never reads a node's tag, so resolving none changes nothing.
+    for text in fuzz_documents():
+        assert read_outcome(text, untagged) == read_outcome(text, stock), text
+
+
+@pytest.mark.parametrize("untagged, stock", UNTAGGED_AND_STOCK)
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_zoom(GRAPH_TOKENS))
+def test_untagged_loaders_read_as_the_stock_ones_on_mutated_texts(untagged, stock, text):
+    assert read_outcome(text, untagged) == read_outcome(text, stock)
+
+
+@pytest.mark.parametrize("pure", [False, True], ids=["default", "pure"])
+def test_parse_resolves_no_tags(zoom_text, pure, monkeypatch):
+    calls = []
+    for name in ("resolve", "descend_resolver", "ascend_resolver"):
+        def counting(self, *args, _name=name, _method=getattr(yaml.resolver.BaseResolver, name)):
+            calls.append(_name)
+            return _method(self, *args)
+        monkeypatch.setattr(yaml.resolver.BaseResolver, name, counting)
+    if pure:
+        monkeypatch.setattr(yamlio, "_LIBYAML_LOADER", None)
+    parse(zoom_text)
+    assert calls == []
+    # the probes do count: PyYAML's own loader of the same kind resolves every node
+    stock = yaml.SafeLoader if yamlio._LIBYAML_LOADER is None else yaml.CSafeLoader
+    yaml.compose(zoom_text, Loader=stock)
+    assert {"resolve", "descend_resolver", "ascend_resolver"} <= set(calls)
+
+
+@pytest.mark.parametrize("stock", [
+    yaml.SafeLoader,
+    pytest.param(getattr(yaml, "CSafeLoader", None), id="CSafeLoader", marks=pytest.mark.skipif(
+        yamlio._LIBYAML_LOADER is None, reason="PyYAML is built without libyaml")),
+], ids=lambda loader: getattr(loader, "__name__", None))
+def test_importing_pricebook_leaves_pyyaml_as_it_was(stock):
+    for name in ("resolve", "descend_resolver", "ascend_resolver"):
+        assert getattr(stock, name) is getattr(yaml.resolver.BaseResolver, name)
+    assert yaml.compose("1", Loader=stock).tag == "tag:yaml.org,2002:int"
+    assert yaml.load("a: 1", Loader=stock) == {"a": 1}
+    assert yaml.safe_load("a: 1") == {"a": 1}
 
 
 def _block_nest(width):

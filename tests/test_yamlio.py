@@ -225,6 +225,20 @@ addOns:
 """
 
 
+def test_explicit_tags_do_not_change_how_a_scalar_reads(minimal_path):
+    # A plain scalar is read by its own text and a quoted one is text,
+    # whatever tag it carries.
+    text = (minimal_path.read_text(encoding="utf-8")
+            .replace("saasName: MiniNotes", "saasName: !!int MiniNotes")
+            .replace('version: "1.0"', 'version: !!float "1.0"')
+            .replace("price: 0", "price: !!str 0"))
+    pricing = parse(text)
+    assert pricing.saas_name == "MiniNotes"
+    assert pricing.version == "1.0"
+    assert pricing.plans["FREE"].price == Decimal(0)
+    assert serialize(pricing) == minimal_path.read_text(encoding="utf-8")
+
+
 def test_number_exponent_out_of_range_is_a_located_type_mismatch():
     # Fixed-point text of 1e999999999 would take a gigabyte, so such
     # numbers are refused where they are read.
