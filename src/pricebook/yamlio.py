@@ -141,6 +141,28 @@ def parse(text: str) -> Pricing:
     return _Reader().read(root)
 
 
+# Both loaders resolve no tags. ``_Reader`` never reads ``node.tag``: it
+# classifies a plain scalar by its own text, so an explicit tag such as
+# "!!str 0" changes nothing. Resolving costs libyaml's C composer three
+# calls back into Python per node (``descend_resolver``, ``resolve`` and
+# ``ascend_resolver``), about a third of a compose; the regexes those
+# calls run are not the cost, so memoizing ``resolve`` saves nothing.
+# The subclasses leave PyYAML's own loader classes as they are.
+class _Untagged:
+    """A loader mixin that resolves no tags: nodes keep only explicit ones."""
+
+    def descend_resolver(self, current_node, current_index):
+        pass
+
+    def ascend_resolver(self):
+        pass
+
+    def resolve(self, kind, value, implicit):
+        return None
+
+
+_PURE_LOADER = type("PureLoader", (_Untagged, yaml.SafeLoader), {})
+
 # libyaml composes about ten times faster than PyYAML's pure-Python loader,
 # which stays the reference. On the texts handed to libyaml the two compose
 # the same node graph, marks included, except for the marks of empty plain
@@ -169,28 +191,6 @@ def parse(text: str) -> Pricing:
 #   "\n" or a lone "\r", both of which are line breaks to both loaders. With
 #   the bounds below no text read on libyaml nests deeper than
 #   255 + 2 * 63 + 2 = 383 levels.
-#
-# Both loaders resolve no tags. ``_Reader`` never reads ``node.tag``: it
-# classifies a plain scalar by its own text, so an explicit tag such as
-# "!!str 0" changes nothing. Resolving costs libyaml's C composer three
-# calls back into Python per node (``descend_resolver``, ``resolve`` and
-# ``ascend_resolver``), about a third of a compose; the regexes those
-# calls run are not the cost, so memoizing ``resolve`` saves nothing.
-# The subclasses leave PyYAML's own loader classes as they are.
-class _Untagged:
-    """A loader mixin that resolves no tags: nodes keep only explicit ones."""
-
-    def descend_resolver(self, current_node, current_index):
-        pass
-
-    def ascend_resolver(self):
-        pass
-
-    def resolve(self, kind, value, implicit):
-        return None
-
-
-_PURE_LOADER = type("PureLoader", (_Untagged, yaml.SafeLoader), {})
 _LIBYAML_LOADER = (type("LibyamlLoader", (_Untagged, yaml.CSafeLoader), {})
                    if hasattr(yaml, "CSafeLoader") else None)
 _PURE_ONLY_CHARS = "\t\x85\u2028\u2029?"

@@ -196,7 +196,7 @@ def read_outcome(text, loader):
     the error lines, or the YAML error."""
     try:
         root = yaml.compose(text, Loader=loader)
-    except (yaml.YAMLError, UnicodeError, RecursionError) as exc:
+    except (yaml.YAMLError, UnicodeError) as exc:
         return f"{type(exc).__name__}: {exc}"
     try:
         return serialize(yamlio._Reader().read(root))
