@@ -376,13 +376,18 @@ class _EngineIndex:
     extensions: dict[str, tuple[tuple[str, Decimal], ...]]  # limit -> (add-on, extension)
     truthy_defaults: frozenset[str]  # features whose catalog default is truthy
     truthy_grants: dict[str, frozenset[str]]  # add-on -> features it grants truthy
+    # (period, limits) for each distinct period of the periodic limits
+    renewals: tuple[tuple[Period, tuple[str, ...]], ...]
 
     @classmethod
     def build(cls, pricing: Pricing) -> _EngineIndex:
         linked: dict[str, list] = {}
+        periodic: dict[Period, list] = {}
         for limit in pricing.usage_limits.values():
             for feature in limit.linked_features:
                 linked.setdefault(feature, []).append(limit.name)
+            if limit.period is not None:
+                periodic.setdefault(limit.period, []).append(limit.name)
         grants: dict[str, list] = {}
         extensions: dict[str, list] = {}
         for add_on in pricing.add_ons.values():
@@ -395,7 +400,8 @@ class _EngineIndex:
             return _FrozenDict({key: tuple(value) for key, value in entries.items()})
 
         return cls(frozen(linked), frozen(grants), frozen(extensions), truthy_defaults(pricing),
-                   _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}))
+                   _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}),
+                   tuple((period, tuple(names)) for period, names in periodic.items()))
 
 
 @dataclass(frozen=True)

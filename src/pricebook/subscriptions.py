@@ -16,9 +16,10 @@ caller passes an earlier instant than it did before.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from decimal import Decimal
+from json.encoder import encode_basestring_ascii
 
 from .errors import (
     AddOnNotAvailableError,
@@ -55,6 +56,8 @@ __all__ = [
     "parse_instant",
     "format_instant",
 ]
+
+_ZERO = Decimal(0)
 
 
 @dataclass(frozen=True)
@@ -127,7 +130,9 @@ def parse_instant(text: str) -> datetime:
 
 
 def format_instant(instant: datetime) -> str:
-    return instant.astimezone(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """RFC-3339 UTC timestamp with whole seconds and a four-digit year."""
+    utc = instant.astimezone(timezone.utc).replace(tzinfo=None)
+    return utc.isoformat(timespec="seconds") + "Z"
 
 
 def _check_instant(instant: datetime) -> datetime:
@@ -135,7 +140,11 @@ def _check_instant(instant: datetime) -> datetime:
         raise ValueError("instants must be timezone-aware")
     if instant.microsecond != 0:
         raise ValueError("instants are whole seconds")
-    return instant.astimezone(timezone.utc)
+    try:
+        return instant.astimezone(timezone.utc)
+    except OverflowError:
+        raise ValueError(f"timestamp is outside the calendar in UTC: "
+                         f"{instant.isoformat()!r}") from None
 
 
 def create_subscription(
@@ -226,8 +235,10 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
 
     A window advance resets the counter to zero. Idempotent for a fixed
     ``now``; windows never regress. Counters whose periods are equal and
-    that sit in the same window renew together: the call checks each
-    distinct (period, window index) once and shares the renewed counter.
+    that sit in the same window renew together: the call walks the
+    pricing's periodic limits grouped by period (see ``_EngineIndex``),
+    checks each distinct (period, window index) once and shares the
+    renewed counter, so a counter whose window runs on costs an index read.
     """
     now = _check_instant(now)
     if now < subscription.start_instant:
@@ -236,74 +247,59 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
             f"{format_instant(subscription.start_instant)}"
         )
     start = subscription.start_instant
+    usage = subscription.usage
     renewed: dict[str, UsageState] | None = None
-    # (period, window index) -> the renewed counter, or None while the window runs
-    windows: dict[tuple, UsageState | None] = {}
-    for name, state in subscription.usage.items():
-        index = state.window_index
-        if index is None:
-            continue
-        limit = pricing.usage_limits.get(name)
-        if limit is None or limit.period is None:
-            continue
-        period = limit.period
-        key = _window_key(period, index)
-        if key not in windows:
-            windows[key] = None
-            if window_started(start, period, index, now):
+    for period, names in pricing._index.renewals:
+        fresh: dict[int, UsageState] = {}  # index of a window that ended -> renewed counter
+        for index in {usage[name].window_index for name in names if name in usage}:
+            if index is not None and window_started(start, period, index, now):
                 k = latest_window_index(start, period, now)
-                windows[key] = UsageState(Decimal(0), advance(start, period, k), k)
-        fresh = windows[key]
-        if fresh is None:
-            continue
-        if renewed is None:
-            renewed = dict(subscription.usage)
-        renewed[name] = fresh
+                fresh[index] = UsageState(_ZERO, advance(start, period, k), k)
+        if fresh:
+            if renewed is None:
+                renewed = dict(usage)
+            for name in names:
+                if name in usage and usage[name].window_index in fresh:
+                    renewed[name] = fresh[usage[name].window_index]
     if renewed is None:
         return subscription
-    return replace(subscription, usage=renewed)
+    return _with_usage(subscription, renewed)
 
 
-def _window_key(period: Period, index: int) -> tuple:
-    """Key of window ``index`` of a period, equal for equal periods.
-
-    The unit enters by identity: hashing an ``Enum`` member runs
-    Python-level code (see ``periods._span_seconds``).
-    """
-    return period.value, id(period.unit), index
-
-
-def _evaluate(
-    pricing: Pricing,
-    lapsed: Subscription,
-    plan: Plan,
-    feature_name: str,
-) -> EvaluationResult:
+def _evaluator(pricing: Pricing, lapsed: Subscription):
+    """The evaluation of one feature of a lapsed subscription, as a function
+    of the feature's name. Its calls share each linked limit's status, worked
+    out on the first call that needs it."""
+    plan = _plan(pricing, lapsed)
+    index = pricing._index
+    features = pricing.features
     names = lapsed.add_on_names
-    plan_value = plan.feature_overrides.get(feature_name,
-                                            pricing.features[feature_name].default_value)
-    grants = [value for add_on, value in pricing._index.grants.get(feature_name, ())
-              if add_on in names]
-    enabled = plan_value.truthy or any(g.truthy for g in grants)
-    # A grant dominates the plan value; with several, the last add-on in
-    # catalog order wins.
-    value = grants[-1] if grants else plan_value
-    statuses = []
-    for limit in pricing._index.linked_limits.get(feature_name, ()):
-        eff = _effective(pricing, plan, names, limit)
-        used = lapsed.usage[limit].used
-        statuses.append(LimitStatus(
-            limit=limit,
-            effective=eff,
-            used=used,
-            remaining=max(Decimal(0), eff - used),
-        ))
-    return EvaluationResult(
-        feature=feature_name,
-        enabled=enabled,
-        value=value,
-        limits=tuple(statuses),
-    )
+    statuses: dict[str, LimitStatus] = {}
+
+    def status(limit: str) -> LimitStatus:
+        found = statuses.get(limit)
+        if found is None:
+            eff = _effective(pricing, plan, names, limit)
+            used = lapsed.usage[limit].used
+            found = statuses[limit] = LimitStatus(limit, eff, used, max(_ZERO, eff - used))
+        return found
+
+    def evaluate(feature_name: str) -> EvaluationResult:
+        value = plan.feature_overrides.get(feature_name, features[feature_name].default_value)
+        enabled = value.truthy
+        granted = index.grants.get(feature_name)
+        if granted is not None:
+            grants = [grant for add_on, grant in granted if add_on in names]
+            # A grant dominates the plan value; with several, the last add-on
+            # in catalog order wins.
+            if grants:
+                enabled = enabled or any(grant.truthy for grant in grants)
+                value = grants[-1]
+        linked = index.linked_limits.get(feature_name)
+        return EvaluationResult(feature_name, enabled, value,
+                                () if linked is None else tuple(map(status, linked)))
+
+    return evaluate
 
 
 def evaluate_feature(
@@ -315,8 +311,7 @@ def evaluate_feature(
     """Can this subscriber use the feature right now, and at which limits?"""
     if feature_name not in pricing.features:
         raise UnknownFeatureError(feature_name)
-    lapsed = lapse_windows(pricing, subscription, now)
-    return _evaluate(pricing, lapsed, _plan(pricing, subscription), feature_name)
+    return _evaluator(pricing, lapse_windows(pricing, subscription, now))(feature_name)
 
 
 def evaluation_context(
@@ -324,10 +319,10 @@ def evaluation_context(
     subscription: Subscription,
     now: datetime,
 ) -> dict[str, EvaluationResult]:
-    """Evaluation of every declared feature, keyed in catalog order."""
-    lapsed = lapse_windows(pricing, subscription, now)
-    plan = _plan(pricing, subscription)
-    return {name: _evaluate(pricing, lapsed, plan, name) for name in pricing.features}
+    """Evaluation of every declared feature, keyed in catalog order; a limit
+    linked to several features is worked out once."""
+    evaluate = _evaluator(pricing, lapse_windows(pricing, subscription, now))
+    return {name: evaluate(name) for name in pricing.features}
 
 
 def record_usage(
@@ -360,8 +355,8 @@ def record_usage(
     if state.used + amount > effective:
         raise QuotaExceededError(limit_name, effective, state.used, amount)
     usage = dict(lapsed.usage)
-    usage[limit_name] = replace(state, used=state.used + amount)
-    return replace(lapsed, usage=usage)
+    usage[limit_name] = UsageState(state.used + amount, state.window_start, state.window_index)
+    return _with_usage(lapsed, usage)
 
 
 def reset_usage(subscription: Subscription, limit_name: str) -> Subscription:
@@ -369,8 +364,15 @@ def reset_usage(subscription: Subscription, limit_name: str) -> Subscription:
     if limit_name not in subscription.usage:
         raise UnknownLimitError(limit_name)
     usage = dict(subscription.usage)
-    usage[limit_name] = replace(usage[limit_name], used=Decimal(0))
-    return replace(subscription, usage=usage)
+    state = usage[limit_name]
+    usage[limit_name] = UsageState(_ZERO, state.window_start, state.window_index)
+    return _with_usage(subscription, usage)
+
+
+def _with_usage(subscription: Subscription, usage: dict[str, UsageState]) -> Subscription:
+    """``replace(subscription, usage=usage)``, without its walk over the fields."""
+    return Subscription(subscription.plan_name, subscription.add_on_names,
+                        subscription.start_instant, subscription.contract_period, usage)
 
 
 # -- persistence -------------------------------------------------------------
@@ -434,36 +436,52 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     if not isinstance(usage_doc, dict) or set(usage_doc) != set(pricing.usage_limits):
         raise ValueError("usage map does not match this pricing's usage limits")
     usage: dict[str, UsageState] = {}
+    useds: dict[str, Decimal] = {}  # counter text -> its amount, once checked
+    # A window is (period value, unit identity, window index): hashing the
+    # ``PeriodUnit`` itself runs Python-level ``Enum.__hash__``.
     window_starts: dict[tuple, datetime] = {}
+    counters: dict[tuple, UsageState] = {}  # (text, window) -> a counter, shared
     for name, limit in pricing.usage_limits.items():
         entry = usage_doc[name]
         if not isinstance(entry, dict) or "used" not in entry:
             raise ValueError(f"usage entry for {name!r} is malformed")
-        try:
-            used = Decimal(str(entry["used"]))
-        except ArithmeticError:
-            raise ValueError(f"usage entry for {name!r} has a bad counter") from None
-        if not used.is_finite() or used < 0:
-            raise ValueError(f"usage entry for {name!r} has a bad counter")
-        if not exponent_in_range(used):
-            raise ValueError(f"usage entry for {name!r} has a counter exponent "
-                             f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
-        if limit.period is not None:
+        text = str(entry["used"])
+        used = useds.get(text)
+        if used is None:
+            try:
+                used = Decimal(text)
+            except ArithmeticError:
+                raise ValueError(f"usage entry for {name!r} has a bad counter") from None
+            if not used.is_finite() or used < 0:
+                raise ValueError(f"usage entry for {name!r} has a bad counter")
+            if not exponent_in_range(used):
+                raise ValueError(f"usage entry for {name!r} has a counter exponent "
+                                 f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
+            useds[text] = used
+        every = limit.period
+        if every is None:
+            window = ()
+        else:
             index = entry.get("windowIndex")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"usage entry for {name!r} needs a windowIndex")
-            key = _window_key(limit.period, index)
-            window_start = window_starts.get(key)
-            if window_start is None:
-                try:
-                    window_start = window_starts[key] = advance(start, limit.period, index)
-                except (OverflowError, ValueError):
-                    raise ValueError(
-                        f"usage entry for {name!r} has a windowIndex past the calendar"
-                    ) from None
-            usage[name] = UsageState(used, window_start, index)
-        else:
-            usage[name] = UsageState(used)
+            window = (every.value, id(every.unit), index)
+        state = counters.get((text, window))
+        if state is None:
+            if every is None:
+                state = UsageState(used)
+            else:
+                window_start = window_starts.get(window)
+                if window_start is None:
+                    try:
+                        window_start = window_starts[window] = advance(start, every, index)
+                    except (OverflowError, ValueError):
+                        raise ValueError(
+                            f"usage entry for {name!r} has a windowIndex past the calendar"
+                        ) from None
+                state = UsageState(used, window_start, index)
+            counters[text, window] = state
+        usage[name] = state
     return Subscription(
         plan_name=plan,
         add_on_names=frozenset(add_ons),
@@ -474,7 +492,46 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
 
 
 def subscription_to_json(pricing: Pricing, subscription: Subscription) -> str:
-    return json.dumps(subscription_to_state(pricing, subscription), indent=2) + "\n"
+    """``json.dumps(subscription_to_state(...), indent=2)`` and a newline,
+    byte for byte, written in the state's fixed shape.
+
+    ``json.dumps`` with an indent always runs the json module's pure-Python
+    encoder; here every string goes through its C escaper instead (ASCII,
+    as ``json.dumps`` writes it), and each distinct window start is
+    formatted once.
+    """
+    quote = encode_basestring_ascii
+    start = subscription.start_instant
+    starts = {start: quote(format_instant(start))}  # instant -> its JSON text
+    entries = []
+    for name in pricing.usage_limits:
+        state = subscription.usage[name]
+        entry = f'{quote(name)}: {{\n      "used": {quote(format(state.used, "f"))}'
+        if state.window_index is not None:
+            window_start = starts.get(state.window_start)
+            if window_start is None:
+                window_start = starts[state.window_start] = quote(
+                    format_instant(state.window_start))
+            entry += (f',\n      "windowStart": {window_start}'
+                      f',\n      "windowIndex": {int.__repr__(state.window_index)}')
+        entries.append(entry + "\n    }")
+    contract = subscription.contract_period
+    add_ons = [quote(name) for name in sorted(subscription.add_on_names)]
+    return (f'{{\n  "saasName": {quote(pricing.saas_name)}'
+            f',\n  "plan": {quote(subscription.plan_name)}'
+            f',\n  "addOns": {_json_block(add_ons, "[]")}'
+            f',\n  "startInstant": {starts[start]}'
+            f',\n  "contractPeriod": {{\n    "value": {int.__repr__(contract.value)}'
+            f',\n    "unit": {quote(contract.unit.value)}\n  }}'
+            f',\n  "usage": {_json_block(entries, "{}")}\n}}\n')
+
+
+def _json_block(items: list[str], brackets: str) -> str:
+    """A JSON array or object, one written item a line, as ``json.dumps``
+    with ``indent=2`` lays out a value of the state's top-level map."""
+    if not items:
+        return brackets
+    return f"{brackets[0]}\n    " + ",\n    ".join(items) + f"\n  {brackets[1]}"
 
 
 def subscription_from_json(pricing: Pricing, text: str) -> Subscription:

@@ -318,6 +318,33 @@ class TestCalendarEnd:
         assert (code, out) == (3, "")
         assert "windowIndex" in err
 
+    @pytest.fixture()
+    def early_state(self, tmp_path, zoom):
+        """A valid state file whose subscription starts in the year 999."""
+        state = json.loads(subscription_to_json(
+            zoom, create_subscription(zoom, "PRO", ["hugeMeetings"], parse_instant(T0))))
+        state["startInstant"] = "0999-01-31T00:00:00Z"
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps(state, indent=2) + "\n", encoding="utf-8")
+        return path
+
+    def test_consume_keeps_a_start_before_year_1000_readable(self, capsys, zoom_file,
+                                                            early_state):
+        consume = ["consume", zoom_file, "--subscription", str(early_state),
+                   "--limit", "maxAssistantsPerMeeting", "--amount", "1"]
+        assert run(capsys, *consume, "--at", "0999-02-01T00:00:00Z") == (0, "999\n", "")
+        assert run(capsys, *consume) == (0, "998\n", "")  # --at falls back to the start
+        state = json.loads(early_state.read_text(encoding="utf-8"))
+        assert state["startInstant"] == "0999-01-31T00:00:00Z"
+        assert state["usage"]["maxAssistantsPerMeeting"]["used"] == "2"
+
+    def test_evaluate_a_subscription_starting_before_year_1000(self, capsys, zoom_file,
+                                                               early_state):
+        code, out, err = run(capsys, "evaluate", zoom_file, "--subscription", str(early_state),
+                             "--all")
+        assert (code, err) == (0, "")
+        assert len(json.loads(out)) == 12
+
 
 class TestStateErrorOrder:
     """A state file with several bad counters exits 3 naming the first in catalog order."""

@@ -612,3 +612,77 @@ def test_window_arithmetic_runs_once_per_distinct_window(monkeypatch):
     assert subscription_from_state(pricing, state) == want_loaded == sub
     assert 0 < calls["advance"] <= len(keys)
     assert calls["window_started"] == calls["latest_window_index"] == 0
+
+
+# -- whole-subscription work done once per call --------------------------------
+
+def _count_calls(monkeypatch, calls, *names):
+    """Count the engine's calls to ``subscriptions``' own names."""
+    for name in names:
+        function = getattr(subscriptions, name)
+
+        def wrapper(*args, _name=name, _function=function):
+            calls[_name] += 1
+            return _function(*args)
+        monkeypatch.setattr(subscriptions, name, wrapper)
+
+
+def _distinct_windows(subscription):
+    return {(subscription.start_instant, state.window_start, state.window_index)
+            for state in subscription.usage.values() if state.window_index is not None}
+
+
+def test_context_works_out_each_linked_limit_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "_effective")
+    rng = random.Random(603)
+    shared = 0  # contexts in which some limit is linked to two or more features
+    for _ in range(40):
+        pricing = random_pricing(rng, min_plans=1, min_limits=1)
+        links = [limit for limits in pricing._index.linked_limits.values() for limit in limits]
+        for sub, now in _random_subscriptions(rng, pricing, 2):
+            calls.clear()
+            context = evaluation_context(pricing, sub, now)
+            assert calls["_effective"] <= len(set(links))
+            assert context == {feature: reference_evaluate(pricing, sub, feature, now)
+                               for feature in pricing.features}
+            shared += len(links) > len(set(links))
+    assert shared > 10
+
+
+def test_save_formats_each_distinct_window_start_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "format_instant")
+    rng = random.Random(604)
+    shared = 0  # saves in which two or more counters share a window start
+    for _ in range(40):
+        pricing = random_pricing(rng, min_plans=1, min_limits=1)
+        for sub, _ in _random_subscriptions(rng, pricing, 2):
+            starts = {state.window_start for state in sub.usage.values()
+                      if state.window_index is not None}
+            calls.clear()
+            text = subscriptions.subscription_to_json(pricing, sub)
+            assert calls["format_instant"] <= len(starts) + 1
+            assert text == json.dumps(subscription_to_state(pricing, sub), indent=2) + "\n"
+            shared += sum(state.window_index is not None
+                          for state in sub.usage.values()) > len(starts)
+    assert shared > 10
+
+
+def test_lapse_with_no_window_ended_checks_each_window_once(monkeypatch):
+    calls = Counter()
+    _count_calls(monkeypatch, calls, "window_started", "latest_window_index", "advance")
+    rng = random.Random(605)
+    shared = 0  # subscriptions in which two or more counters share a window
+    for _ in range(40):
+        pricing = random_pricing(rng, min_plans=1, min_limits=1)
+        for sub, now in _random_subscriptions(rng, pricing, 2):
+            lapsed = lapse_windows(pricing, sub, now)
+            keys = {(pricing.usage_limits[name].period, state.window_index)
+                    for name, state in lapsed.usage.items() if state.window_index is not None}
+            calls.clear()
+            assert lapse_windows(pricing, lapsed, now) is lapsed
+            assert calls == Counter({"window_started": len(keys)} if keys else {})
+            shared += sum(state.window_index is not None
+                          for state in lapsed.usage.values()) > len(keys)
+    assert shared > 10

@@ -20,6 +20,8 @@ from pricebook import (
     NonPositiveAmountError,
     Period,
     PeriodUnit,
+    Plan,
+    Pricing,
     QuotaExceededError,
     UnknownAddOnError,
     UnknownFeatureError,
@@ -39,16 +41,20 @@ from pricebook import (
     subscription_to_json,
 )
 from pricebook.periods import advance, latest_window_index, window_started
+from pricebook.subscriptions import subscription_to_state
 
 from support import (
     DAILY_DOC,
     SHARED_PERIODS_DOC,
+    UsageEvent,
     engine_replay,
+    from_raw,
     oracle_replay,
     oracle_window_index,
     oracle_window_start,
     random_events,
     random_pricing,
+    to_raw,
 )
 
 T0 = parse_instant("2024-01-31T12:00:00Z")
@@ -471,6 +477,45 @@ def test_window_started_named_cases():
         assert not window_started(parse_instant("9999-12-31T00:00:00Z"), Period(1, unit), 0, last)
 
 
+# Text a JSON string must escape: quotes, backslashes, control characters,
+# non-ASCII text, the line and paragraph separators and a lone surrogate.
+_AWKWARD_TEXT = ['say "hi"', "back\\slash\\", "tab\tnew\nline\r\x00\x1f\x7f", "café — 日本語 🎉",
+                 "line\u2028para\u2029", "\ud800 alone", "</script>"]
+_NO_LIMITS = Pricing("Empty", "1", "USD", Period(1, PeriodUnit.MONTH), {}, {},
+                     {"P": Plan("P", Decimal(1))}, {})
+
+
+@st.composite
+def _saved_subscriptions(draw):
+    """A pricing from ``random_pricing`` (or one with no limits) under an awkward
+    SaaS name, and a subscription to it that the engine produced: created at any
+    second of years 1-9999, with or without add-ons, then fed usage events."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.integers(0, 9)) == 0:
+        raw = to_raw(_NO_LIMITS)
+    else:
+        raw = to_raw(random_pricing(rng, min_plans=1))
+    raw["saasName"] = draw(st.one_of(st.sampled_from(_AWKWARD_TEXT),
+                                     st.text(min_size=1).filter(str.strip)))
+    pricing = from_raw(raw)
+    plan = rng.choice(sorted(pricing.plans))
+    add_ons = [] if draw(st.booleans()) else [
+        name for name, add_on in pricing.add_ons.items()
+        if not add_on.available_for or plan in add_on.available_for]
+    start = draw(st.datetimes(datetime(1, 1, 1), datetime(9999, 12, 31, 23, 59, 59),
+                              timezones=st.just(timezone.utc))).replace(microsecond=0)
+    sub = create_subscription(pricing, plan, add_ons, start, Period(1, PeriodUnit.YEAR))
+    room = int(min(timedelta(days=400), _LAST_UTC - start).total_seconds())
+    if pricing.usage_limits:
+        events = [UsageEvent(rng.choice(["record"] * 4 + ["reset", "lapse"]),
+                             rng.choice(sorted(pricing.usage_limits)),
+                             Decimal(rng.choice(["1", "0.5", "25", "1E+2", "0.125"])),
+                             start + timedelta(seconds=offset))
+                  for offset in draw(st.lists(st.integers(0, room), max_size=12))]
+        sub = engine_replay(pricing, sub, events)
+    return pricing, sub
+
+
 class TestStatePersistence:
     def test_round_trip(self, zoom, pro_huge):
         moved = record_usage(zoom, pro_huge, "aiCompanionCredits", Decimal("12.5"),
@@ -529,6 +574,16 @@ class TestStatePersistence:
             return
         assert subscription_from_json(zoom, subscription_to_json(zoom, sub)) == sub
 
+    @settings(max_examples=150, deadline=None)
+    @given(_saved_subscriptions())
+    def test_state_text_equals_the_json_module_and_reads_back(self, case):
+        pricing, sub = case
+        loaded = subscription_from_json(pricing, subscription_to_json(pricing, sub))
+        for subscription in (sub, loaded):
+            text = subscription_to_json(pricing, subscription)
+            assert text == json.dumps(subscription_to_state(pricing, subscription), indent=2) + "\n"
+            assert subscription_from_json(pricing, text) == subscription == sub
+
     def test_malformed_state_rejected(self, zoom):
         with pytest.raises(ValueError):
             subscription_from_json(zoom, "{}")
@@ -562,6 +617,33 @@ class TestCalendarEnd:
         for text in ("9999-12-31T23:00:00-05:00", "0001-01-01T01:00:00+05:00"):
             with pytest.raises(ValueError):
                 parse_instant(text)
+
+    def test_instants_before_year_1000_carry_four_digit_years(self, zoom):
+        for text in ("0001-01-01T00:00:00Z", "0999-01-31T00:00:00Z"):
+            start = parse_instant(text)
+            assert format_instant(start) == text
+            sub = create_subscription(zoom, "PRO", ["hugeMeetings"], start)
+            sub = record_usage(zoom, sub, "maxAssistantsPerMeeting", Decimal(3),
+                               start + timedelta(days=40))
+            saved = subscription_to_json(zoom, sub)
+            assert json.loads(saved)["startInstant"] == text
+            assert subscription_from_json(zoom, saved) == sub
+        assert format_instant(T0) == "2024-01-31T12:00:00Z"
+
+    def test_aware_instant_leaving_the_calendar_in_utc_is_a_value_error(self, zoom, pro):
+        early = datetime(1, 1, 1, 1, tzinfo=timezone(timedelta(hours=3)))
+        late = datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5)))
+        message = "^timestamp is outside the calendar in UTC: "
+        with pytest.raises(ValueError, match=message):
+            create_subscription(zoom, "PRO", [], early)
+        for now in (early, late):
+            calls = [lambda: lapse_windows(zoom, pro, now),
+                     lambda: record_usage(zoom, pro, "maxAssistantsPerMeeting", Decimal(1), now),
+                     lambda: evaluate_feature(zoom, pro, "onlineMeetings", now),
+                     lambda: evaluation_context(zoom, pro, now)]
+            for call in calls:
+                with pytest.raises(ValueError, match=message):
+                    call()
 
 
 class TestMalformedStateOrder:
