@@ -402,7 +402,8 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     Raises ValueError when the document is malformed or does not refer to
     this pricing, naming the first bad counter in catalog order; unknown
     plans and add-ons raise their specific errors. Each distinct window
-    start, a (period, window index), is worked out once.
+    start, a (period, window index), is worked out once, and each distinct
+    counter text is checked once.
     """
     if not isinstance(state, dict):
         raise ValueError("subscription state must be a JSON object")
@@ -437,10 +438,7 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
         raise ValueError("usage map does not match this pricing's usage limits")
     usage: dict[str, UsageState] = {}
     useds: dict[str, Decimal] = {}  # counter text -> its amount, once checked
-    # A window is (period value, unit identity, window index): hashing the
-    # ``PeriodUnit`` itself runs Python-level ``Enum.__hash__``.
     window_starts: dict[tuple, datetime] = {}
-    counters: dict[tuple, UsageState] = {}  # (text, window) -> a counter, shared
     for name, limit in pricing.usage_limits.items():
         entry = usage_doc[name]
         if not isinstance(entry, dict) or "used" not in entry:
@@ -458,30 +456,24 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
                 raise ValueError(f"usage entry for {name!r} has a counter exponent "
                                  f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
             useds[text] = used
-        every = limit.period
-        if every is None:
-            window = ()
-        else:
+        if limit.period is not None:
             index = entry.get("windowIndex")
             if not isinstance(index, int) or isinstance(index, bool) or index < 0:
                 raise ValueError(f"usage entry for {name!r} needs a windowIndex")
-            window = (every.value, id(every.unit), index)
-        state = counters.get((text, window))
-        if state is None:
-            if every is None:
-                state = UsageState(used)
-            else:
-                window_start = window_starts.get(window)
-                if window_start is None:
-                    try:
-                        window_start = window_starts[window] = advance(start, every, index)
-                    except (OverflowError, ValueError):
-                        raise ValueError(
-                            f"usage entry for {name!r} has a windowIndex past the calendar"
-                        ) from None
-                state = UsageState(used, window_start, index)
-            counters[text, window] = state
-        usage[name] = state
+            # The unit enters by identity: hashing an ``Enum`` member runs
+            # Python-level code (see ``periods._span_seconds``).
+            key = (limit.period.value, id(limit.period.unit), index)
+            window_start = window_starts.get(key)
+            if window_start is None:
+                try:
+                    window_start = window_starts[key] = advance(start, limit.period, index)
+                except (OverflowError, ValueError):
+                    raise ValueError(
+                        f"usage entry for {name!r} has a windowIndex past the calendar"
+                    ) from None
+            usage[name] = UsageState(used, window_start, index)
+        else:
+            usage[name] = UsageState(used)
     return Subscription(
         plan_name=plan,
         add_on_names=frozenset(add_ons),
