@@ -96,9 +96,16 @@ class ChangeSet:
 
 
 def diff(old: Pricing, new: Pricing) -> ChangeSet:
-    """Field-level change list taking ``old`` to ``new``; empty iff equal."""
+    """Field-level change list taking ``old`` to ``new``; empty iff equal.
+
+    A plan's resolved value can move only where the plan overrides it, on
+    either side, or where the catalog default moved, so each plan is
+    compared at its overrides and at the defaults that moved, worked out
+    once per diff: the cost is the catalog's size plus the plans' overrides.
+    """
     changes: list[Change] = []
     add = changes.append
+    moved: dict[str, set[str]] = {}  # catalog attribute -> names whose default moved
     for key, attr, _, kind, _ in FIELDS[Pricing]:
         before, after = getattr(old, attr), getattr(new, attr)
         if not isinstance(after, dict):
@@ -113,12 +120,13 @@ def diff(old: Pricing, new: Pricing) -> ChangeSet:
             if name not in before:
                 add(Change(added, (name,), definition=to_json(entry)))
             else:
-                _diff_entry(old, new, name, before[name], entry, add)
+                _diff_entry(old, new, moved, name, before[name], entry, add)
     changes.sort(key=Change.sort_key)
     return ChangeSet(tuple(changes))
 
 
-def _diff_entry(old: Pricing, new: Pricing, name: str, before, after, add) -> None:
+def _diff_entry(old: Pricing, new: Pricing, moved: dict[str, set[str]], name: str,
+                before, after, add) -> None:
     for _, attr, holds, kind, _ in FIELDS[type(after)]:
         o, n = getattr(before, attr), getattr(after, attr)
         if not isinstance(n, dict):
@@ -127,10 +135,20 @@ def _diff_entry(old: Pricing, new: Pricing, name: str, before, after, add) -> No
                 scope = ("default",) if kind is ChangeKind.LIMIT_THRESHOLD_CHANGED else ()
                 add(Change(kind, (*scope, name), o, n))
         elif type(after) is Plan:
-            # Compare what the plan resolves to, override else catalog default.
+            # Compare what the plan resolves to, override else catalog default,
+            # for the entries of the new catalog; elsewhere both sides read
+            # the same unmoved default.
             catalog = _CATALOG_ATTR[holds.entry]
             old_catalog, new_catalog = getattr(old, catalog), getattr(new, catalog)
-            for ref, entry in new_catalog.items():
+            defaults = moved.get(catalog)
+            if defaults is None:
+                defaults = moved[catalog] = {
+                    ref for ref, entry in new_catalog.items() if ref in old_catalog
+                    and old_catalog[ref].default_value != entry.default_value}
+            for ref in defaults | o.keys() | n.keys():
+                entry = new_catalog.get(ref)
+                if entry is None:
+                    continue
                 if ref in old_catalog:
                     ov = o.get(ref, old_catalog[ref].default_value)
                     nv = n.get(ref, entry.default_value)

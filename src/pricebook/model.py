@@ -378,16 +378,24 @@ class _EngineIndex:
     truthy_grants: dict[str, frozenset[str]]  # add-on -> features it grants truthy
     # (period, limits) for each distinct period of the periodic limits
     renewals: tuple[tuple[Period, tuple[str, ...]], ...]
+    # (limit, period, position of the period in ``renewals``) for every limit
+    # in catalog order; the period and position are None for a limit without one
+    counters: tuple[tuple[str, Period | None, int | None], ...]
 
     @classmethod
     def build(cls, pricing: Pricing) -> _EngineIndex:
         linked: dict[str, list] = {}
         periodic: dict[Period, list] = {}
+        slots: dict[Period, int] = {}  # period -> its position in ``renewals``
+        counters = []
         for limit in pricing.usage_limits.values():
             for feature in limit.linked_features:
                 linked.setdefault(feature, []).append(limit.name)
+            slot = None
             if limit.period is not None:
                 periodic.setdefault(limit.period, []).append(limit.name)
+                slot = slots.setdefault(limit.period, len(slots))
+            counters.append((limit.name, limit.period, slot))
         grants: dict[str, list] = {}
         extensions: dict[str, list] = {}
         for add_on in pricing.add_ons.values():
@@ -401,7 +409,8 @@ class _EngineIndex:
 
         return cls(frozen(linked), frozen(grants), frozen(extensions), truthy_defaults(pricing),
                    _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}),
-                   tuple((period, tuple(names)) for period, names in periodic.items()))
+                   tuple((period, tuple(names)) for period, names in periodic.items()),
+                   tuple(counters))
 
 
 @dataclass(frozen=True)

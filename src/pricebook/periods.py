@@ -74,12 +74,23 @@ def _span_seconds(period: Period) -> int:
     return 0
 
 
+# Days in each month of a common year, by month number (index 0 unused).
+_MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+
+def _days_in_month(year: int, month: int) -> int:
+    """``calendar.monthrange(year, month)[1]``, without working out a weekday."""
+    if month == 2 and calendar.isleap(year):
+        return 29
+    return _MONTH_DAYS[month]
+
+
 def _add_months(anchor: datetime, months: int) -> datetime:
-    total = anchor.year * 12 + (anchor.month - 1) + months
-    year, month_index = divmod(total, 12)
-    month = month_index + 1
-    day = min(anchor.day, calendar.monthrange(year, month)[1])
-    return anchor.replace(year=year, month=month, day=day)
+    year, month_index = divmod(anchor.year * 12 + (anchor.month - 1) + months, 12)
+    day = anchor.day
+    if day > 28:  # every month has 28 days; only later anchors may clamp
+        day = min(day, _days_in_month(year, month_index + 1))
+    return anchor.replace(year=year, month=month_index + 1, day=day)
 
 
 def advance(start: datetime, period: Period, count: int) -> datetime:

@@ -60,13 +60,32 @@ __all__ = [
 _ZERO = Decimal(0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UsageState:
-    """Counter for one limit; window fields exist iff the limit has a period."""
+    """Counter for one limit; window fields exist iff the limit has a period.
+
+    Slotted: a counter has no ``__dict__``."""
 
     used: Decimal = Decimal(0)
     window_start: datetime | None = None
     window_index: int | None = None
+
+
+_set_used = UsageState.used.__set__
+_set_window_start = UsageState.window_start.__set__
+_set_window_index = UsageState.window_index.__set__
+
+
+def _counter(used: Decimal, window_start: datetime | None,
+             window_index: int | None) -> UsageState:
+    """``UsageState(used, window_start, window_index)``, filling the slots
+    without running ``__init__`` and its three ``object.__setattr__`` calls;
+    the state load builds one per counter."""
+    state = object.__new__(UsageState)
+    _set_used(state, used)
+    _set_window_start(state, window_start)
+    _set_window_index(state, window_index)
+    return state
 
 
 @dataclass(frozen=True)
@@ -401,9 +420,10 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
 
     Raises ValueError when the document is malformed or does not refer to
     this pricing, naming the first bad counter in catalog order; unknown
-    plans and add-ons raise their specific errors. Each distinct window
-    start, a (period, window index), is worked out once, and each distinct
-    counter text is checked once.
+    plans and add-ons raise their specific errors. The counters are read in
+    the order of the pricing's counter table (see ``_EngineIndex``); each
+    distinct window start, a (period, window index), is worked out once,
+    and each distinct counter text is checked once.
     """
     if not isinstance(state, dict):
         raise ValueError("subscription state must be a JSON object")
@@ -434,12 +454,14 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
         period = None
     if period is None or out_of_range(Period, period) is not None:
         raise ValueError("contractPeriod must be {value, unit}")
-    if not isinstance(usage_doc, dict) or set(usage_doc) != set(pricing.usage_limits):
+    if not isinstance(usage_doc, dict) or usage_doc.keys() != pricing.usage_limits.keys():
         raise ValueError("usage map does not match this pricing's usage limits")
+    index = pricing._index
     usage: dict[str, UsageState] = {}
     useds: dict[str, Decimal] = {}  # counter text -> its amount, once checked
-    window_starts: dict[tuple, datetime] = {}
-    for name, limit in pricing.usage_limits.items():
+    # per distinct period, in ``renewals`` order: window index -> window start
+    window_starts: list[dict[int, datetime]] = [{} for _ in index.renewals]
+    for name, limit_period, slot in index.counters:
         entry = usage_doc[name]
         if not isinstance(entry, dict) or "used" not in entry:
             raise ValueError(f"usage entry for {name!r} is malformed")
@@ -452,28 +474,26 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
                 raise ValueError(f"usage entry for {name!r} has a bad counter") from None
             if not used.is_finite() or used < 0:
                 raise ValueError(f"usage entry for {name!r} has a bad counter")
-            if not exponent_in_range(used):
+            if not -MAX_EXPONENT <= used.adjusted() <= MAX_EXPONENT:  # exponent_in_range, inlined
                 raise ValueError(f"usage entry for {name!r} has a counter exponent "
                                  f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
             useds[text] = used
-        if limit.period is not None:
-            index = entry.get("windowIndex")
-            if not isinstance(index, int) or isinstance(index, bool) or index < 0:
-                raise ValueError(f"usage entry for {name!r} needs a windowIndex")
-            # The unit enters by identity: hashing an ``Enum`` member runs
-            # Python-level code (see ``periods._span_seconds``).
-            key = (limit.period.value, id(limit.period.unit), index)
-            window_start = window_starts.get(key)
-            if window_start is None:
-                try:
-                    window_start = window_starts[key] = advance(start, limit.period, index)
-                except (OverflowError, ValueError):
-                    raise ValueError(
-                        f"usage entry for {name!r} has a windowIndex past the calendar"
-                    ) from None
-            usage[name] = UsageState(used, window_start, index)
-        else:
-            usage[name] = UsageState(used)
+        if limit_period is None:
+            usage[name] = _counter(used, None, None)
+            continue
+        window = entry.get("windowIndex")
+        if not isinstance(window, int) or isinstance(window, bool) or window < 0:
+            raise ValueError(f"usage entry for {name!r} needs a windowIndex")
+        starts = window_starts[slot]
+        window_start = starts.get(window)
+        if window_start is None:
+            try:
+                window_start = starts[window] = advance(start, limit_period, window)
+            except (OverflowError, ValueError):
+                raise ValueError(
+                    f"usage entry for {name!r} has a windowIndex past the calendar"
+                ) from None
+        usage[name] = _counter(used, window_start, window)
     return Subscription(
         plan_name=plan,
         add_on_names=frozenset(add_ons),

@@ -9,10 +9,13 @@ and every add-on in catalog order, and step every periodic window with
 ``latest_window_index``. Agreement covers values and their exponents, the
 order of linked limits, and which of several grants wins. Renewal and the
 state-file load work out each distinct (period, window index) once; their
-references do the window arithmetic again for every counter.
+references do the window arithmetic again for every counter. ``diff``
+compares each plan only at its overrides and at the catalog defaults that
+moved; its reference compares every catalog entry for every plan.
 """
 
 import calendar
+import copy
 import json
 import random
 from collections import Counter
@@ -63,10 +66,15 @@ from pricebook import (
     resolve_plan,
     validate,
 )
+from pricebook.errors import ModelError, UnknownPlanError
+from pricebook.model import _CATALOG_ATTR, FIELDS, out_of_range, to_json
 from pricebook.periods import advance, latest_window_index, window_started
-from pricebook.subscriptions import subscription_from_state, subscription_to_state
+from pricebook.subscriptions import (_check_add_ons, subscription_from_state,
+                                     subscription_to_state)
 
-from support import engine_replay, mutate_pricing, random_events, random_pricing
+from support import (DECIMALS, _random_value, _remove_feature_refs, _remove_limit_refs,
+                     engine_replay, from_raw, mutate_pricing, random_events, random_pricing,
+                     to_raw)
 
 T0 = parse_instant("2024-01-31T12:00:00Z")
 
@@ -686,3 +694,271 @@ def test_lapse_with_no_window_ended_checks_each_window_once(monkeypatch):
             shared += sum(state.window_index is not None
                           for state in lapsed.usage.values()) > len(keys)
     assert shared > 10
+
+
+# -- diff at the cost of what changed ------------------------------------------
+
+def reference_diff(old, new):
+    """``diff`` resolving, for every plan, every entry of the new catalog."""
+    changes = []
+    add = changes.append
+    for key, attr, _, kind, _ in FIELDS[Pricing]:
+        before, after = getattr(old, attr), getattr(new, attr)
+        if not isinstance(after, dict):
+            if before != after:
+                add(Change(kind, (key,), before, after))
+            continue
+        added, removed = kind
+        for name in before:
+            if name not in after:
+                add(Change(removed, (name,)))
+        for name, entry in after.items():
+            if name not in before:
+                add(Change(added, (name,), definition=to_json(entry)))
+            else:
+                _reference_diff_entry(old, new, name, before[name], entry, add)
+    changes.sort(key=Change.sort_key)
+    return ChangeSet(tuple(changes))
+
+
+def _reference_diff_entry(old, new, name, before, after, add):
+    for _, attr, holds, kind, _ in FIELDS[type(after)]:
+        o, n = getattr(before, attr), getattr(after, attr)
+        if not isinstance(n, dict):
+            if o != n:
+                scope = ("default",) if kind is ChangeKind.LIMIT_THRESHOLD_CHANGED else ()
+                add(Change(kind, (*scope, name), o, n))
+        elif type(after) is Plan:
+            catalog = _CATALOG_ATTR[holds.entry]
+            old_catalog, new_catalog = getattr(old, catalog), getattr(new, catalog)
+            for ref, entry in new_catalog.items():
+                if ref in old_catalog:
+                    ov = o.get(ref, old_catalog[ref].default_value)
+                    nv = n.get(ref, entry.default_value)
+                    if ov != nv:
+                        add(Change(kind, (name, ref), ov, nv))
+                elif ref in n:
+                    add(Change(kind, (name, ref), None, n[ref]))
+        else:
+            for ref in o.keys() | n.keys():
+                ov, nv = o.get(ref), n.get(ref)
+                if ov != nv:
+                    add(Change(kind, (name, ref), ov, nv))
+
+
+_SIDES = ("old", "new", "both", "neither")  # where a plan overrides the entry
+
+
+def _value_like(rng, value):
+    """A value of the kind of ``value``: a feature value or a threshold."""
+    if isinstance(value, FeatureValue):
+        return _random_value(rng, value.kind)
+    return Decimal(rng.choice(DECIMALS + ["5.0", "1E+1"]))
+
+
+def _moved_default(rng, pricing, key):
+    """(old, new, sides): one entry of catalog ``key`` ("features" or
+    "usageLimits") changes its default (or respells it), and each plan
+    overrides it on the side ``sides`` names for it."""
+    old_raw, new_raw = to_raw(pricing), to_raw(pricing)
+    name = rng.choice(sorted(old_raw[key]))
+    default = old_raw[key][name]["defaultValue"]
+    new_raw[key][name]["defaultValue"] = _value_like(rng, default)
+    sides = {}
+    for plan in old_raw["plans"]:
+        side = sides[plan] = rng.choice(_SIDES)
+        for raw, on in ((old_raw, ("old", "both")), (new_raw, ("new", "both"))):
+            overrides = raw["plans"][plan][key]
+            if side in on:
+                overrides[name] = _value_like(rng, default)
+            else:
+                overrides.pop(name, None)
+    return from_raw(old_raw), from_raw(new_raw), sides
+
+
+def _replaced_entry(rng, pricing, key):
+    """(old, new): an entry of catalog ``key`` that plans override in the old
+    pricing leaves the catalog, and a copy under a new name that plans
+    override in the new one joins it."""
+    raw = to_raw(pricing)
+    name = rng.choice(sorted(raw[key]))
+    default = raw[key][name]["defaultValue"]
+    for plan in raw["plans"].values():
+        if rng.random() < 0.7:
+            plan[key][name] = _value_like(rng, default)
+    old = from_raw(raw)
+    raw = to_raw(old)
+    joined = copy.deepcopy(raw[key][name])
+    del raw[key][name]
+    (_remove_feature_refs if key == "features" else _remove_limit_refs)(raw, name)
+    raw[key][name + "Joined"] = joined
+    for plan in raw["plans"].values():
+        if rng.random() < 0.7:
+            plan[key][name + "Joined"] = _value_like(rng, default)
+    return old, from_raw(raw)
+
+
+def _assert_diff_equals_reference(old, new):
+    for a, b in ((old, new), (new, old)):
+        got, want = diff(a, b), reference_diff(a, b)
+        assert got.to_json_lines() == want.to_json_lines()
+        assert got == want
+
+
+def test_diff_equals_whole_catalog_reference():
+    rng = random.Random(606)
+    seen = Counter()
+    for _ in range(150):
+        pricing = random_pricing(rng, rule_clean=True, min_plans=1)
+        _assert_diff_equals_reference(pricing, mutate_pricing(rng, pricing, rng.randint(1, 4)))
+        again = from_raw(to_raw(pricing))
+        assert not diff(pricing, again) and not reference_diff(pricing, again)
+        seen["equal"] += 1
+        for key, kind in (("features", ChangeKind.PLAN_FEATURE_VALUE_CHANGED),
+                          ("usageLimits", ChangeKind.LIMIT_THRESHOLD_CHANGED)):
+            if not to_raw(pricing)[key]:
+                continue
+            old, new, sides = _moved_default(rng, pricing, key)
+            _assert_diff_equals_reference(old, new)
+            moved = {change.subjects[0] for change in diff(old, new)
+                     if change.kind is kind and change.subjects[0] in sides}
+            seen.update(f"{key} {sides[plan]}" for plan in moved)
+            try:
+                old, new = _replaced_entry(rng, pricing, key)
+            except ModelError:  # an add-on left granting and extending nothing
+                continue
+            _assert_diff_equals_reference(old, new)
+            seen[f"{key} replaced"] += 1
+    # Plans whose resolved value moved, by where they override the entry.
+    assert min(seen.values()) >= 20, seen
+    assert len(seen) == 11, seen
+
+
+# -- the state load, counter by counter ----------------------------------------
+
+def reference_from_state(pricing, state):
+    """``subscription_from_state`` as one loop over the catalog's limits: every
+    check and one ``advance`` per counter, with the same messages."""
+    if not isinstance(state, dict):
+        raise ValueError("subscription state must be a JSON object")
+    try:
+        saas_name, plan, add_ons = state["saasName"], state["plan"], state["addOns"]
+        start_text, contract, usage_doc = (state["startInstant"], state["contractPeriod"],
+                                           state["usage"])
+    except (KeyError, TypeError):
+        raise ValueError("subscription state is missing required fields") from None
+    if saas_name != pricing.saas_name:
+        raise ValueError(
+            f"state refers to {saas_name!r}, not to this pricing ({pricing.saas_name!r})")
+    if not isinstance(plan, str) or not isinstance(start_text, str):
+        raise ValueError("plan and startInstant must be strings")
+    if plan not in pricing.plans:
+        raise UnknownPlanError(plan)
+    if not isinstance(add_ons, list) or not all(isinstance(name, str) for name in add_ons):
+        raise ValueError("addOns must be a list of names")
+    _check_add_ons(pricing, plan, add_ons)
+    start = parse_instant(start_text)
+    try:
+        period = Period(contract["value"], PeriodUnit(contract["unit"]))
+    except (KeyError, TypeError, ValueError, ModelError):
+        period = None
+    if period is None or out_of_range(Period, period) is not None:
+        raise ValueError("contractPeriod must be {value, unit}")
+    if not isinstance(usage_doc, dict) or set(usage_doc) != set(pricing.usage_limits):
+        raise ValueError("usage map does not match this pricing's usage limits")
+    usage = {}
+    for name, limit in pricing.usage_limits.items():
+        entry = usage_doc[name]
+        if not isinstance(entry, dict) or "used" not in entry:
+            raise ValueError(f"usage entry for {name!r} is malformed")
+        try:
+            used = Decimal(str(entry["used"]))
+        except ArithmeticError:
+            raise ValueError(f"usage entry for {name!r} has a bad counter") from None
+        if not used.is_finite() or used < 0:
+            raise ValueError(f"usage entry for {name!r} has a bad counter")
+        if not -1000 <= used.adjusted() <= 1000:
+            raise ValueError(f"usage entry for {name!r} has a counter exponent "
+                             f"outside -1000..1000")
+        if limit.period is None:
+            usage[name] = UsageState(used)
+            continue
+        index = entry.get("windowIndex")
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ValueError(f"usage entry for {name!r} needs a windowIndex")
+        try:
+            usage[name] = UsageState(used, advance(start, limit.period, index), index)
+        except (OverflowError, ValueError):
+            raise ValueError(f"usage entry for {name!r} has a windowIndex past the calendar"
+                             ) from None
+    return Subscription(plan, frozenset(add_ons), start, period, usage)
+
+
+# (field, value) put into one counter's entry; ``None`` as the field replaces
+# the entry, and a missing value deletes the field.
+_BAD_COUNTERS = [
+    (None, []), (None, "0"), (None, None), ("used",), ("windowIndex",),
+    ("used", "abc"), ("used", ""), ("used", "-1"), ("used", "-0.5"), ("used", "NaN"),
+    ("used", "sNaN"), ("used", "-Infinity"), ("used", "1E+1001"), ("used", "1E-1001"),
+    ("used", [1]), ("used", None), ("used", 7), ("used", "1E+1000"),
+    ("windowIndex", None), ("windowIndex", True), ("windowIndex", -1), ("windowIndex", "0"),
+    ("windowIndex", 0.0), ("windowIndex", [0]), ("windowIndex", 10**6), ("windowIndex", 10**12),
+]
+
+
+@st.composite
+def _state_cases(draw):
+    """A saved state of a ``_shared_window_cases`` subscription whose counter
+    texts repeat or are all distinct, with up to two bad counters at random
+    catalog positions, an entry missing or extra now and then, and the usage
+    map in catalog or reversed order."""
+    pricing, sub, _ = draw(_shared_window_cases())
+    state = json.loads(json.dumps(subscription_to_state(pricing, sub)))
+    names = list(pricing.usage_limits)
+    repeated = draw(st.booleans())
+    for i, name in enumerate(names):
+        state["usage"][name]["used"] = (
+            draw(st.sampled_from(["0", "2.50", "1E+2"])) if repeated else f"{i}.{i + 1}")
+    for position, bad in draw(st.lists(st.tuples(st.integers(0, len(names) - 1),
+                                                 st.sampled_from(_BAD_COUNTERS)), max_size=2)):
+        entry = state["usage"][names[position]]
+        if not isinstance(entry, dict):  # replaced already
+            continue
+        if bad[0] is None:
+            state["usage"][names[position]] = bad[1]
+        elif len(bad) == 1:
+            entry.pop(bad[0], None)
+        else:
+            entry[bad[0]] = bad[1]
+    keys = draw(st.sampled_from(["same", "missing", "extra"]) if draw(st.integers(0, 9)) == 0
+                else st.just("same"))
+    if keys == "missing":
+        del state["usage"][draw(st.sampled_from(names))]
+    elif keys == "extra":
+        state["usage"]["stray"] = {"used": "0"}
+    if draw(st.booleans()):
+        state["usage"] = dict(reversed(state["usage"].items()))
+    return pricing, state
+
+
+@settings(max_examples=400, deadline=None)
+@given(_state_cases())
+def test_load_equals_counter_by_counter_reference(case):
+    pricing, state = case
+    try:
+        want = reference_from_state(pricing, copy.deepcopy(state))
+    except Exception as expected:  # the load raises the same error, with the same message
+        with pytest.raises(type(expected)) as caught:
+            subscription_from_state(pricing, state)
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+        return
+    loaded = subscription_from_state(pricing, state)
+    assert loaded == want
+    assert _counters(loaded) == _counters(want)
+    if all(isinstance(entry["used"], str) for entry in state["usage"].values()):
+        assert loaded == per_counter_from_state(pricing, state)
+    for name, counter in loaded.usage.items():
+        built = UsageState(counter.used, counter.window_start, counter.window_index)
+        assert type(counter) is UsageState
+        assert counter == built and hash(counter) == hash(built)

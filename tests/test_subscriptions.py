@@ -1,9 +1,11 @@
 """Entitlement evaluation, quota accounting, window resets, persistence."""
 
 import calendar
+import copy
 import json
+import pickle
 import random
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -27,6 +29,7 @@ from pricebook import (
     UnknownFeatureError,
     UnknownLimitError,
     UnknownPlanError,
+    UsageState,
     create_subscription,
     effective_limit,
     evaluate_feature,
@@ -40,7 +43,8 @@ from pricebook import (
     subscription_from_json,
     subscription_to_json,
 )
-from pricebook.periods import advance, latest_window_index, window_started
+from pricebook.periods import (_add_months, _days_in_month, advance, latest_window_index,
+                               window_started)
 from pricebook.subscriptions import subscription_to_state
 
 from support import (
@@ -644,6 +648,110 @@ class TestCalendarEnd:
             for call in calls:
                 with pytest.raises(ValueError, match=message):
                     call()
+
+
+class TestMonthArithmetic:
+    """``advance`` clamps month ends from a table of month lengths."""
+
+    def test_month_lengths_equal_the_calendar_module(self):
+        assert [(year, month, _days_in_month(year, month))
+                for year in range(1, 10000) for month in range(1, 13)] == [
+            (year, month, calendar.monthrange(year, month)[1])
+            for year in range(1, 10000) for month in range(1, 13)]
+
+    def test_month_steps_clamp_as_the_calendar_module_does(self):
+        for year in (1, 1899, 1900, 2000, 2023, 2024, 9996):
+            for month in range(1, 13):
+                for day in range(1, calendar.monthrange(year, month)[1] + 1):
+                    anchor = datetime(year, month, day, 7, 30, tzinfo=timezone.utc)
+                    for months in (0, 1, 2, 11, 12, 13, 25):
+                        y, m = divmod(year * 12 + month - 1 + months, 12)
+                        want = anchor.replace(year=y, month=m + 1,
+                                              day=min(day, calendar.monthrange(y, m + 1)[1]))
+                        assert _add_months(anchor, months) == want
+
+    def test_advance_raises_value_error_at_both_ends_of_the_calendar(self):
+        first = datetime(1, 1, 31, tzinfo=timezone.utc)
+        with pytest.raises(ValueError):
+            advance(first, Period(1, PeriodUnit.MONTH), -1)
+        with pytest.raises(ValueError):
+            _add_months(first, -1)
+        for day in (1, 31):  # an anchor that never clamps and one that may
+            last = datetime(9999, 12, day, tzinfo=timezone.utc)
+            for period in (Period(1, PeriodUnit.MONTH), Period(1, PeriodUnit.YEAR)):
+                with pytest.raises(ValueError):
+                    advance(last, period, 1)
+            assert advance(datetime(9999, 1, day, tzinfo=timezone.utc),
+                           Period(1, PeriodUnit.MONTH), 11) == last
+
+
+class TestSlottedCounter:
+    """``UsageState`` is a slotted frozen dataclass: no ``__dict__``, and the
+    fields, equality, hash, copies and ``replace`` of the plain one."""
+
+    @pytest.fixture()
+    def used(self, zoom, pro_huge):
+        return record_usage(zoom, pro_huge, "aiCompanionCredits", Decimal("12.5"),
+                            parse_instant("2024-03-15T00:00:00Z"))
+
+    def test_a_counter_has_no_dict(self, zoom, used):
+        loaded = subscription_from_json(zoom, subscription_to_json(zoom, used))
+        assert UsageState.__slots__ == ("used", "window_start", "window_index")
+        for state in [UsageState(), *used.usage.values(), *loaded.usage.values()]:
+            assert type(state) is UsageState
+            assert not hasattr(state, "__dict__")
+
+    def test_loaded_counters_equal_and_hash_as_constructed_ones(self, zoom, used):
+        loaded = subscription_from_json(zoom, subscription_to_json(zoom, used))
+        assert loaded == used
+        for state in loaded.usage.values():
+            built = UsageState(state.used, state.window_start, state.window_index)
+            assert state == built and hash(state) == hash(built)
+            assert built in {state}
+            assert repr(state) == repr(built)
+        assert UsageState(Decimal("1.0"), T0, 0) == UsageState(Decimal(1), T0, 0)
+        assert hash(UsageState(Decimal("1.0"))) == hash(UsageState(Decimal(1), None, None))
+        assert UsageState(Decimal(1), T0, 0) != UsageState(Decimal(1), T0, 1)
+
+    def test_assignment_raises_frozen_instance_error(self, zoom, used):
+        loaded = subscription_from_json(zoom, subscription_to_json(zoom, used))
+        for state in (UsageState(Decimal(1), T0, 0), loaded.usage["aiCompanionCredits"]):
+            before = copy.copy(state)
+            for name in ("used", "window_start", "window_index"):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(state, name, Decimal(2))
+                with pytest.raises(FrozenInstanceError):
+                    delattr(state, name)
+            # A name that is no field has no slot: CPython's slotted frozen
+            # dataclasses raise TypeError there, not FrozenInstanceError.
+            with pytest.raises((TypeError, AttributeError)):
+                state.other = 1
+            assert state == before
+
+    def test_replace(self, zoom, used):
+        loaded = subscription_from_json(zoom, subscription_to_json(zoom, used))
+        state = loaded.usage["aiCompanionCredits"]
+        assert replace(state, used=Decimal(0)) == UsageState(Decimal(0), state.window_start,
+                                                             state.window_index)
+        assert replace(UsageState(Decimal(3))) == UsageState(Decimal(3))
+
+    def test_pickle_and_deepcopy_round_trips(self, zoom, used):
+        loaded = subscription_from_json(zoom, subscription_to_json(zoom, used))
+        values = [UsageState(), UsageState(Decimal("2.50"), T0, 3), used, loaded,
+                  *loaded.usage.values()]
+        for value in values:
+            copies = [pickle.loads(pickle.dumps(value, protocol))
+                      for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for again in [*copies, copy.deepcopy(value), copy.copy(value)]:
+                assert type(again) is type(value)
+                assert again == value
+                if type(value) is UsageState:
+                    assert hash(again) == hash(value)
+                    assert not hasattr(again, "__dict__")
+        again = pickle.loads(pickle.dumps(loaded))
+        assert subscription_to_json(zoom, again) == subscription_to_json(zoom, used)
+        assert record_usage(zoom, again, "aiCompanionCredits", Decimal(1), T0) == \
+            record_usage(zoom, used, "aiCompanionCredits", Decimal(1), T0)
 
 
 class TestMalformedStateOrder:
