@@ -67,7 +67,7 @@ from pricebook import (
     validate,
 )
 from pricebook.errors import ModelError, UnknownPlanError
-from pricebook.model import _CATALOG_ATTR, FIELDS, out_of_range, to_json
+from pricebook.model import _CATALOG_ATTR, FIELDS, MAX_EXPONENT, out_of_range, to_json
 from pricebook.periods import advance, latest_window_index, window_started
 from pricebook.subscriptions import (_check_add_ons, subscription_from_state,
                                      subscription_to_state)
@@ -877,9 +877,9 @@ def reference_from_state(pricing, state):
             raise ValueError(f"usage entry for {name!r} has a bad counter") from None
         if not used.is_finite() or used < 0:
             raise ValueError(f"usage entry for {name!r} has a bad counter")
-        if not -1000 <= used.adjusted() <= 1000:
+        if not -MAX_EXPONENT <= used.adjusted() <= MAX_EXPONENT:
             raise ValueError(f"usage entry for {name!r} has a counter exponent "
-                             f"outside -1000..1000")
+                             f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
         if limit.period is None:
             usage[name] = UsageState(used)
             continue
