@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .errors import UnknownPlanError
-from .model import _CATALOG_ATTR, FIELDS, ChangeKind, Plan, Pricing, to_json, truthy_in_plan
-from .subscriptions import Subscription
+from .model import _CATALOG_ATTR, FIELDS, ChangeKind, Plan, Pricing, to_json
+from .subscriptions import Subscription, _enabled
 
 __all__ = ["ChangeKind", "Change", "ChangeSet", "diff", "impact"]
 
@@ -186,8 +186,11 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
     if subscription.plan_name not in pricing.plans:
         raise UnknownPlanError(subscription.plan_name)
     index = pricing._index
-    reachable = truthy_in_plan(index.truthy_defaults, pricing.plans[subscription.plan_name])
-    reachable.update(*(index.truthy_grants.get(a, ()) for a in subscription.add_on_names))
+    plan_name = subscription.plan_name
+    granted = set().union(*(index.truthy_grants.get(a, ()) for a in subscription.add_on_names))
+
+    def reachable(feature: str) -> bool:
+        return _enabled(index, plan_name, feature, feature in granted)
 
     kept = []
     for change in changes:
@@ -198,16 +201,16 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
         elif kind is ChangeKind.FEATURE_ADDED:
             keep = _definition_truthy(change.definition)
         elif kind.name.startswith("FEATURE_"):
-            keep = name in reachable
+            keep = reachable(name)
         elif kind is ChangeKind.LIMIT_ADDED:
             linked = change.definition["linkedFeatures"]
-            keep = not linked or not reachable.isdisjoint(linked)
+            keep = not linked or any(map(reachable, linked))
         elif kind is ChangeKind.LIMIT_THRESHOLD_CHANGED and name != "default":
             keep = name == subscription.plan_name  # a plan's own threshold
         elif kind.name.startswith("LIMIT_"):
             limit = pricing.usage_limits.get(change.subjects[-1])  # after a threshold's scope
             keep = limit is not None and (
-                not limit.linked_features or not reachable.isdisjoint(limit.linked_features))
+                not limit.linked_features or any(map(reachable, limit.linked_features)))
         elif kind is ChangeKind.PLAN_ADDED:
             keep = False
         elif kind.name.startswith("PLAN_"):

@@ -367,8 +367,9 @@ class _EngineIndex:
     extensions add up and the last grant wins. It holds no resolved plan
     tables: the engine reads the one plan value it needs from the plan's
     overrides, so the index stays small and catalog-wide readers
-    (``validate``, ``pricing_stats``, ``diff``) never build it. ``impact``
-    reads a subscriber's features from the truthy sets and its plan's overrides.
+    (``validate``, ``pricing_stats``, ``diff``) never build it. The engine
+    and ``impact`` read which features a subscriber has enabled from the
+    truthy sets, whose per-plan entries hold only the plan's overrides.
     """
 
     linked_limits: dict[str, tuple[str, ...]]  # feature -> limits linked to it
@@ -376,6 +377,8 @@ class _EngineIndex:
     extensions: dict[str, tuple[tuple[str, Decimal], ...]]  # limit -> (add-on, extension)
     truthy_defaults: frozenset[str]  # features whose catalog default is truthy
     truthy_grants: dict[str, frozenset[str]]  # add-on -> features it grants truthy
+    # plan -> (features it overrides truthy, features it overrides falsy)
+    plan_switches: dict[str, tuple[frozenset[str], frozenset[str]]]
     # (period, limits) for each distinct period of the periodic limits
     renewals: tuple[tuple[Period, tuple[str, ...]], ...]
     # (limit, period, position of the period in ``renewals``) for every limit
@@ -407,8 +410,14 @@ class _EngineIndex:
         def frozen(entries: dict[str, list]) -> _FrozenDict:
             return _FrozenDict({key: tuple(value) for key, value in entries.items()})
 
+        switches = {}
+        for plan in pricing.plans.values():
+            truthy = {name: value.truthy for name, value in plan.feature_overrides.items()}
+            switches[plan.name] = (frozenset(name for name, on in truthy.items() if on),
+                                   frozenset(name for name, on in truthy.items() if not on))
         return cls(frozen(linked), frozen(grants), frozen(extensions), truthy_defaults(pricing),
                    _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}),
+                   _FrozenDict(switches),
                    tuple((period, tuple(names)) for period, names in periodic.items()),
                    tuple(counters))
 

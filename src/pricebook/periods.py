@@ -13,7 +13,6 @@ Two distinct notions of period length live here and must not be mixed up:
 
 from __future__ import annotations
 
-import calendar
 from dataclasses import dataclass
 from datetime import MAXYEAR, datetime, timedelta
 from enum import Enum
@@ -79,8 +78,9 @@ _MONTH_DAYS = (0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
 
 
 def _days_in_month(year: int, month: int) -> int:
-    """``calendar.monthrange(year, month)[1]``, without working out a weekday."""
-    if month == 2 and calendar.isleap(year):
+    """``calendar.monthrange(year, month)[1]``, without working out a weekday
+    or importing ``calendar`` (and ``locale`` with it) at start-up."""
+    if month == 2 and year % 4 == 0 and (year % 100 != 0 or year % 400 == 0):
         return 29
     return _MONTH_DAYS[month]
 

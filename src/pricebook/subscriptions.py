@@ -33,8 +33,8 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, exponent_in_range, out_of_range,
-                    to_decimal, to_json)
+from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, _EngineIndex, exponent_in_range,
+                    out_of_range, to_decimal, to_json)
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -285,40 +285,47 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
     return _with_usage(subscription, renewed)
 
 
-def _evaluator(pricing: Pricing, lapsed: Subscription):
-    """The evaluation of one feature of a lapsed subscription, as a function
-    of the feature's name. Its calls share each linked limit's status, worked
-    out on the first call that needs it."""
-    plan = _plan(pricing, lapsed)
-    index = pricing._index
-    features = pricing.features
-    names = lapsed.add_on_names
-    statuses: dict[str, LimitStatus] = {}
+def _enabled(index: _EngineIndex, plan_name: str, feature: str, granted: bool) -> bool:
+    """Whether a feature is enabled for a subscriber of the plan.
 
-    def status(limit: str) -> LimitStatus:
-        found = statuses.get(limit)
-        if found is None:
-            eff = _effective(pricing, plan, names, limit)
-            used = lapsed.usage[limit].used
-            found = statuses[limit] = LimitStatus(limit, eff, used, max(_ZERO, eff - used))
-        return found
+    It is when a subscribed add-on grants it a truthy value (``granted``),
+    when the plan overrides it with a truthy value, or when its catalog
+    default is truthy and the plan does not override it with a falsy one.
+    ``_enabled_features`` applies this rule to every feature at once.
+    """
+    on, off = index.plan_switches[plan_name]
+    return granted or feature in on or (feature in index.truthy_defaults and feature not in off)
 
-    def evaluate(feature_name: str) -> EvaluationResult:
-        value = plan.feature_overrides.get(feature_name, features[feature_name].default_value)
-        enabled = value.truthy
-        granted = index.grants.get(feature_name)
-        if granted is not None:
-            grants = [grant for add_on, grant in granted if add_on in names]
-            # A grant dominates the plan value; with several, the last add-on
-            # in catalog order wins.
-            if grants:
-                enabled = enabled or any(grant.truthy for grant in grants)
-                value = grants[-1]
-        linked = index.linked_limits.get(feature_name)
-        return EvaluationResult(feature_name, enabled, value,
-                                () if linked is None else tuple(map(status, linked)))
 
-    return evaluate
+def _enabled_features(index: _EngineIndex, plan_name: str,
+                      add_on_names: frozenset[str]) -> set[str]:
+    """The features ``_enabled`` holds for, in set algebra: the truthy
+    defaults less the plan's falsy overrides, with its truthy overrides and
+    the subscribed add-ons' truthy grants."""
+    on, off = index.plan_switches[plan_name]
+    grants = index.truthy_grants
+    return (index.truthy_defaults - off).union(on, *(grants.get(name, ()) for name in add_on_names))
+
+
+def _status(pricing: Pricing, plan: Plan, lapsed: Subscription, limit: str) -> LimitStatus:
+    eff = _effective(pricing, plan, lapsed.add_on_names, limit)
+    used = lapsed.usage[limit].used
+    return LimitStatus(limit, eff, used, max(_ZERO, eff - used))
+
+
+_set_result_dict = EvaluationResult.__dict__["__dict__"].__set__
+
+
+def _result(feature: str, enabled: bool, value: FeatureValue,
+            limits: tuple[LimitStatus, ...]) -> EvaluationResult:
+    """``EvaluationResult(feature, enabled, value, limits)``, filling the
+    instance ``__dict__`` without running ``__init__`` and its four
+    ``object.__setattr__`` calls; ``evaluation_context`` builds one per
+    feature."""
+    result = object.__new__(EvaluationResult)
+    _set_result_dict(result, {"feature": feature, "enabled": enabled, "value": value,
+                              "limits": limits})
+    return result
 
 
 def evaluate_feature(
@@ -327,10 +334,24 @@ def evaluate_feature(
     feature_name: str,
     now: datetime,
 ) -> EvaluationResult:
-    """Can this subscriber use the feature right now, and at which limits?"""
+    """Can this subscriber use the feature right now, and at which limits?
+
+    Costs the feature's grants and linked limits, not the catalog."""
     if feature_name not in pricing.features:
         raise UnknownFeatureError(feature_name)
-    return _evaluator(pricing, lapse_windows(pricing, subscription, now))(feature_name)
+    lapsed = lapse_windows(pricing, subscription, now)
+    plan = _plan(pricing, lapsed)
+    index = pricing._index
+    names = lapsed.add_on_names
+    value = plan.feature_overrides.get(feature_name, pricing.features[feature_name].default_value)
+    granted = False
+    for add_on, grant in index.grants.get(feature_name, ()):
+        if add_on in names:  # a grant dominates the plan value; the last in catalog order wins
+            value = grant
+            granted = granted or grant.truthy
+    return _result(feature_name, _enabled(index, plan.name, feature_name, granted), value,
+                   tuple(_status(pricing, plan, lapsed, limit)
+                         for limit in index.linked_limits.get(feature_name, ())))
 
 
 def evaluation_context(
@@ -338,10 +359,34 @@ def evaluation_context(
     subscription: Subscription,
     now: datetime,
 ) -> dict[str, EvaluationResult]:
-    """Evaluation of every declared feature, keyed in catalog order; a limit
-    linked to several features is worked out once."""
-    evaluate = _evaluator(pricing, lapse_windows(pricing, subscription, now))
-    return {name: evaluate(name) for name in pricing.features}
+    """Evaluation of every declared feature, keyed in catalog order.
+
+    One pass: what the subscriber sees where it differs from the catalog
+    (the plan's overrides, then the subscribed add-ons' grants over them in
+    catalog order, so the last grant wins) and its enabled features are
+    built from the plan's overrides and those grants, each linked limit is
+    worked out once, and every feature is then read with dict and set
+    lookups.
+    """
+    lapsed = lapse_windows(pricing, subscription, now)
+    plan = _plan(pricing, lapsed)
+    index = pricing._index
+    names = lapsed.add_on_names
+    enabled = _enabled_features(index, plan.name, names)
+    seen = dict(plan.feature_overrides)
+    for add_on in pricing.add_ons.values():
+        if add_on.name in names:
+            seen.update(add_on.feature_grants)
+    statuses = {name: _status(pricing, plan, lapsed, name)
+                for name, limit in pricing.usage_limits.items() if limit.linked_features}
+    status = statuses.__getitem__
+    linked = index.linked_limits
+    context = {}
+    for name, feature in pricing.features.items():
+        limits = linked.get(name)
+        context[name] = _result(name, name in enabled, seen.get(name, feature.default_value),
+                                () if limits is None else tuple(map(status, limits)))
+    return context
 
 
 def record_usage(

@@ -207,6 +207,23 @@ class TestConsume:
             assert (code, out) == (3, "")
             assert err == f"error: {state_file}: contractPeriod must be {{value, unit}}\n"
 
+    def test_meters_against_a_document_with_violations(self, capsys, tmp_path, zoom,
+                                                       state_file):
+        # consume does not validate; evaluate refuses the same document
+        raw = to_raw(zoom)
+        raw["plans"]["PRO2"] = dict(raw["plans"]["PRO"])  # R1: a duplicate of PRO
+        dup = tmp_path / "dup.yml"
+        dup.write_text(serialize(from_raw(raw)), encoding="utf-8")
+        code, out, _ = run(capsys, "validate", str(dup))
+        assert code == 1 and "R1_DUPLICATE_PLANS" in out
+        code, out, err = run(capsys, "consume", str(dup), "--subscription", state_file,
+                             "--limit", "maxAssistantsPerMeeting", "--amount", "10",
+                             "--at", "2024-02-01T00:00:00Z")
+        assert (code, out, err) == (0, "990\n", "")
+        state = json.loads(Path(state_file).read_text(encoding="utf-8"))
+        assert state["usage"]["maxAssistantsPerMeeting"]["used"] == "10"
+        assert run(capsys, "evaluate", str(dup), "--subscription", state_file, "--all")[0] == 1
+
     def test_interrupted_write_preserves_state(self, capsys, zoom_file, state_file,
                                                monkeypatch):
         before = Path(state_file).read_bytes()

@@ -332,6 +332,72 @@ def test_impact_reads_truthy_only_on_the_plan_overrides(monkeypatch):
     assert calls <= len(pricing.plans["P"].feature_overrides)
 
 
+# -- grant order and linked limits, named cases --------------------------------
+
+def _grant_order_pricing():
+    """Plan ``P`` with add-ons ``zFirst`` and ``aLast``, declared in that order
+    (not by name), is the subscriber of every case."""
+    defaults = {
+        "laterFalsyGrant": FALSE,
+        "laterNumericGrant": FeatureValue.numeric(0),
+        "grantedBack": TRUE,
+        "switchedOff": TRUE,
+        "unlinked": TRUE,
+        "sharedA": TRUE,
+        "sharedB": FALSE,
+        "sharedC": FeatureValue.numeric(2),
+    }
+    features = {name: Feature(name, FeatureType.DOMAIN, value.kind, value)
+                for name, value in defaults.items()}
+    limits = {"shared": UsageLimit("shared", LimitKind.NON_RENEWABLE, "calls", Decimal(10),
+                                   linked_features=("sharedA", "sharedB", "sharedC"))}
+    plans = {"P": Plan("P", Decimal(1), feature_overrides={"grantedBack": FALSE,
+                                                           "switchedOff": FALSE},
+                       limit_overrides={"shared": Decimal(4)})}
+    add_ons = {
+        "zFirst": AddOn("zFirst", Decimal(1), feature_grants={
+            "laterFalsyGrant": TRUE, "laterNumericGrant": FeatureValue.numeric(7),
+            "grantedBack": TRUE}),
+        "aLast": AddOn("aLast", Decimal(1), feature_grants={
+            "laterFalsyGrant": FALSE, "laterNumericGrant": FeatureValue.numeric(3)},
+            limit_extensions={"shared": Decimal(2)}),
+    }
+    return Pricing("Grants", "1", "USD", Period(1, PeriodUnit.MONTH),
+                   features, limits, plans, add_ons)
+
+
+# (enabled, value, linked limits) of each feature for the subscriber.
+GRANT_ORDER_CASES = {
+    # the later subscribed add-on's falsy grant is the value; the earlier
+    # truthy grant keeps the feature enabled
+    "laterFalsyGrant": (True, FALSE, ()),
+    "laterNumericGrant": (True, FeatureValue.numeric(3), ()),
+    "grantedBack": (True, TRUE, ()),  # a falsy plan override on a truthy default, granted back
+    "switchedOff": (False, FALSE, ()),  # the same override with no grant
+    "unlinked": (True, TRUE, ()),  # a feature linked to no limit
+    "sharedA": (True, TRUE, ("shared",)),  # a limit linked to three features
+    "sharedB": (False, FALSE, ("shared",)),
+    "sharedC": (True, FeatureValue.numeric(2), ("shared",)),
+}
+
+
+@pytest.mark.parametrize("feature", list(GRANT_ORDER_CASES))
+def test_grant_order_case(feature):
+    pricing = _grant_order_pricing()
+    sub = create_subscription(pricing, "P", ["aLast", "zFirst"], T0)
+    sub = subscriptions.record_usage(pricing, sub, "shared", Decimal(5), T0)
+    want = reference_evaluate(pricing, sub, feature, T0)
+    context = evaluation_context(pricing, sub, T0)
+    assert evaluate_feature(pricing, sub, feature, T0) == context[feature] == want
+    enabled, value, limits = GRANT_ORDER_CASES[feature]
+    assert (want.enabled, want.value, tuple(s.limit for s in want.limits)) == \
+        (enabled, value, limits)
+    if limits:  # plan 4 plus aLast's 2, of which 5 used
+        assert want.limits == (LimitStatus("shared", Decimal(6), Decimal(5), Decimal(1)),)
+        assert len({id(context[name].limits[0]) for name in ("sharedA", "sharedB",
+                                                             "sharedC")}) == 1
+
+
 # -- R2 and the stats counts ---------------------------------------------------
 
 def reference_orphans(pricing):

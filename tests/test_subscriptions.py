@@ -5,7 +5,7 @@ import copy
 import json
 import pickle
 import random
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
 
@@ -17,6 +17,7 @@ from pricebook import (
     AddOnNotAvailableError,
     ClockBeforeStartError,
     ContractPeriodError,
+    EvaluationResult,
     FeatureValue,
     ModelError,
     NonPositiveAmountError,
@@ -752,6 +753,60 @@ class TestSlottedCounter:
         assert subscription_to_json(zoom, again) == subscription_to_json(zoom, used)
         assert record_usage(zoom, again, "aiCompanionCredits", Decimal(1), T0) == \
             record_usage(zoom, used, "aiCompanionCredits", Decimal(1), T0)
+
+
+class TestFastResults:
+    """The engine builds each ``EvaluationResult`` by filling its ``__dict__``;
+    such a result equals, hashes, prints, pickles and copies as one built by
+    ``EvaluationResult(...)``, and stays frozen."""
+
+    @pytest.fixture()
+    def results(self, zoom, pro_huge):
+        used = record_usage(zoom, pro_huge, "aiCompanionCredits", Decimal("12.5"), T0)
+        context = evaluation_context(zoom, used, T0)
+        return [*context.values(), evaluate_feature(zoom, used, "onlineMeetings", T0),
+                evaluate_feature(zoom, used, "chatSupport", T0)]
+
+    @staticmethod
+    def built(result):
+        return EvaluationResult(result.feature, result.enabled, result.value, result.limits)
+
+    def test_equal_hash_and_repr_as_constructed_ones(self, results):
+        assert any(result.limits for result in results)
+        for result in results:
+            built = self.built(result)
+            assert type(result) is EvaluationResult
+            assert result == built and built == result and not result != built
+            assert hash(result) == hash(built) and built in {result}
+            assert repr(result) == repr(built)
+            assert vars(result) == vars(built)
+            assert list(vars(result)) == [f.name for f in fields(EvaluationResult)]
+            assert result.to_dict() == built.to_dict()
+            assert replace(result, enabled=not result.enabled) != result
+
+    def test_pickle_and_copies_as_constructed_ones(self, results):
+        for result in results:
+            built = self.built(result)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(result, protocol) == pickle.dumps(built, protocol)
+                again = pickle.loads(pickle.dumps(result, protocol))
+                assert type(again) is EvaluationResult
+                assert again == built and hash(again) == hash(built)
+            for again in (copy.deepcopy(result), copy.copy(result)):
+                assert type(again) is EvaluationResult
+                assert again == built and repr(again) == repr(built)
+
+    def test_assignment_and_deletion_raise_frozen_instance_error(self, results):
+        for result in (results[0], results[-2]):
+            before = self.built(result)
+            for field in fields(EvaluationResult):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(result, field.name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(result, field.name)
+            with pytest.raises(FrozenInstanceError):
+                result.other = 1
+            assert result == before and vars(result) == vars(before)
 
 
 class TestMalformedStateOrder:
