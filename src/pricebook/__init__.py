@@ -29,14 +29,12 @@ from .model import (
     FeatureValue,
     Plan,
     Pricing,
-    ResolvedPlanConfig,
     StatsSummary,
     UsageLimit,
     LimitKind,
     ValueKind,
     classify_features,
     pricing_stats,
-    resolve_plan,
 )
 from .periods import Period, PeriodUnit
 from .subscriptions import (

@@ -2,16 +2,21 @@
 
 All objects are frozen dataclasses. Each constructor checks every field
 against what the field table ``FIELDS`` says it holds, by the parser's own
-rules (``out_of_range``), and ``Pricing`` checks what joins entries: map
-keys are names, names are unique, references resolve, plan and add-on
+rules (``out_of_range``), and the rules that join an entity's fields (a
+limit's period against its kind, an add-on that grants or extends nothing,
+a pricing with neither plans nor add-ons) by ``joins``, where each is
+written once: a constructor raises on the first one broken, and the parser
+reports every one at its node. ``Pricing`` also checks what joins entries:
+map keys are names, names are unique, references resolve, plan and add-on
 values have their feature's kind. So a ``Pricing`` refuses exactly what a
 document cannot say, save a blank limit metric, which ``validate`` reports
 as R3B. It then canonicalizes (plan overrides exactly equal to the catalog
 default are dropped, since they change nothing) and makes every map it
 holds read-only, its own and those of its plans and add-ons, which is what
 lets the subscription engine build its lookup index once per pricing, on
-first use, and keep it. ``Plan`` and ``AddOn`` objects built by hand keep
-the plain dicts they were given until a ``Pricing`` takes them in.
+first use, and keep it. The entries it rebuilds are copies, not checked
+again; ``Plan`` and ``AddOn`` objects built by hand keep the plain dicts
+they were given.
 
 Numbers are ``decimal.Decimal`` throughout. Documents round-trip exactly
 and equality never suffers binary floating point surprises.
@@ -20,14 +25,14 @@ and equality never suffers binary floating point surprises.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 from typing import NamedTuple
 
-from .errors import ModelError, NoPlansError, UnknownPlanError
+from .errors import ModelError, NoPlansError
 from .periods import Period, PeriodUnit
 
 __all__ = [
@@ -40,10 +45,8 @@ __all__ = [
     "Plan",
     "AddOn",
     "Pricing",
-    "ResolvedPlanConfig",
     "FeatureClass",
     "StatsSummary",
-    "resolve_plan",
     "classify_features",
     "pricing_stats",
 ]
@@ -220,10 +223,7 @@ class UsageLimit:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if self.kind is LimitKind.RENEWABLE and self.period is None:
-            raise ModelError(f"usage limit {self.name!r}: RENEWABLE requires a period")
-        if self.kind is LimitKind.NON_RENEWABLE and self.period is not None:
-            raise ModelError(f"usage limit {self.name!r}: NON_RENEWABLE forbids a period")
+        _check_joins(self)
 
 
 @dataclass(frozen=True)
@@ -254,8 +254,7 @@ class AddOn:
 
     def __post_init__(self) -> None:
         _check_fields(self)
-        if not self.feature_grants and not self.limit_extensions:
-            raise ModelError(f"add-on {self.name!r} grants no features and extends no limits")
+        _check_joins(self)
 
 
 @dataclass(frozen=True)
@@ -289,7 +288,8 @@ class Pricing:
         # or list is rewritten in catalog declaration order, deduplicated.
         # Every map is frozen on the way, which is what makes caching
         # derived lookups (``_index``) sound. ``_check`` has run, so every
-        # name these maps and lists hold is in its catalog.
+        # name these maps and lists hold is in its catalog, and the entries
+        # rebuilt here are copied (``_copy``) without being checked again.
         def ordered(values: dict, catalog: dict) -> dict:
             return _FrozenDict({key: values[key] for key in catalog if key in values})
 
@@ -300,7 +300,7 @@ class Pricing:
         for name, limit in self.usage_limits.items():
             linked = tuple(sorted(set(limit.linked_features), key=feature_position))
             if linked != limit.linked_features:
-                limit = replace(limit, linked_features=linked)
+                limit = _copy(limit, linked_features=linked)
             limits[name] = limit
         object.__setattr__(self, "usage_limits", _FrozenDict(limits))
 
@@ -314,14 +314,14 @@ class Pricing:
                 l: v for l, v in plan.limit_overrides.items()
                 if self.usage_limits[l].default_value != v
             }, self.usage_limits)
-            plans[name] = replace(plan, feature_overrides=fo, limit_overrides=lo)
+            plans[name] = _copy(plan, feature_overrides=fo, limit_overrides=lo)
         object.__setattr__(self, "plans", _FrozenDict(plans))
 
         plan_position = _position_key(plans)
         add_ons = {}
         for name, add_on in self.add_ons.items():
             available = tuple(sorted(set(add_on.available_for), key=plan_position))
-            add_ons[name] = replace(
+            add_ons[name] = _copy(
                 add_on,
                 available_for=available,
                 feature_grants=ordered(add_on.feature_grants, self.features),
@@ -338,8 +338,7 @@ class Pricing:
         clash = set(self.features) & set(self.usage_limits)
         if clash:
             raise ModelError(f"names used for both a feature and a usage limit: {sorted(clash)}")
-        if not self.plans and not self.add_ons:
-            raise ModelError("a pricing needs at least one plan or add-on")
+        _check_joins(self)
         for entry, references in _REFERENCES.items():
             for value in getattr(self, _CATALOG_ATTR[entry]).values():
                 for key, attr, target, of_kind in references:
@@ -410,25 +409,11 @@ class _EngineIndex:
         def frozen(entries: dict[str, list]) -> _FrozenDict:
             return _FrozenDict({key: tuple(value) for key, value in entries.items()})
 
-        switches = {}
-        for plan in pricing.plans.values():
-            truthy = {name: value.truthy for name, value in plan.feature_overrides.items()}
-            switches[plan.name] = (frozenset(name for name, on in truthy.items() if on),
-                                   frozenset(name for name, on in truthy.items() if not on))
         return cls(frozen(linked), frozen(grants), frozen(extensions), truthy_defaults(pricing),
                    _FrozenDict({name: truthy_grants(a) for name, a in pricing.add_ons.items()}),
-                   _FrozenDict(switches),
+                   _FrozenDict({name: plan_switches(p) for name, p in pricing.plans.items()}),
                    tuple((period, tuple(names)) for period, names in periodic.items()),
                    tuple(counters))
-
-
-@dataclass(frozen=True)
-class ResolvedPlanConfig:
-    """Total feature and limit values for one plan: override else default."""
-
-    plan_name: str
-    feature_values: dict[str, FeatureValue]
-    limit_values: dict[str, Decimal]
 
 
 class FeatureClass(Enum):
@@ -462,25 +447,6 @@ class StatsSummary:
         }
 
 
-def resolve_plan(pricing: Pricing, plan_name: str) -> ResolvedPlanConfig:
-    """Total configuration of one plan: every feature and limit gets a value.
-
-    Pure function; override values dominate catalog defaults.
-    """
-    if plan_name not in pricing.plans:
-        raise UnknownPlanError(plan_name)
-    plan = pricing.plans[plan_name]
-    feature_values = {
-        name: plan.feature_overrides.get(name, feat.default_value)
-        for name, feat in pricing.features.items()
-    }
-    limit_values = {
-        name: plan.limit_overrides.get(name, limit.default_value)
-        for name, limit in pricing.usage_limits.items()
-    }
-    return ResolvedPlanConfig(plan_name, feature_values, limit_values)
-
-
 def truthy_defaults(pricing: Pricing) -> frozenset[str]:
     """Features whose catalog default is truthy."""
     return frozenset(name for name, f in pricing.features.items() if f.default_value.truthy)
@@ -491,15 +457,16 @@ def truthy_grants(add_on: AddOn) -> frozenset[str]:
     return frozenset(name for name, value in add_on.feature_grants.items() if value.truthy)
 
 
-def truthy_in_plan(defaults: frozenset[str], plan: Plan) -> set[str]:
+def plan_switches(plan: Plan) -> tuple[frozenset[str], frozenset[str]]:
+    """The features a plan's overrides make truthy, and those they make falsy."""
+    on = frozenset(name for name, value in plan.feature_overrides.items() if value.truthy)
+    return on, frozenset(plan.feature_overrides.keys() - on)
+
+
+def truthy_in_plan(defaults: frozenset[str], plan: Plan) -> frozenset[str]:
     """Features a plan resolves truthy: the truthy ``defaults``, switched by its overrides."""
-    features = set(defaults)
-    for name, value in plan.feature_overrides.items():
-        if value.truthy:
-            features.add(name)
-        else:
-            features.discard(name)
-    return features
+    on, off = plan_switches(plan)
+    return (defaults - off) | on
 
 
 def classify_features(pricing: Pricing) -> dict[str, FeatureClass]:
@@ -653,9 +620,58 @@ def unknown(entry: type, name) -> str:
     return f"unknown {_LABELS[entry]} {name!r}"
 
 
-def _fail(entity, key: str, problem: str):
-    where = f"{_LABELS[type(entity)]} {entity.name!r} " if type(entity) in _LABELS else ""
-    raise ModelError(f"{where}{key}: {problem}")
+def _fail(entity, key: str | None, problem: str):
+    label = _LABELS.get(type(entity))
+    where = [f"{label} {entity.name!r}"] if label else []
+    if key:
+        where.append(key)
+    raise ModelError(f"{' '.join(where)}: {problem}")
+
+
+def joins(entity: type, values: dict):
+    """The rules that join an entity's fields, each written once here.
+
+    ``values`` holds the entity's present fields by attribute, None for one
+    that did not read. Yields (key, missing, message) for each rule they
+    break: the key of the field the rule is about (None for the entity as
+    a whole), and whether something is missing there rather than present
+    that must not be. The parser locates each problem; the model raises on
+    the first.
+    """
+    if entity is UsageLimit:
+        # checked once the kind, metric and default value have read; a period
+        # that did not read still counts as present
+        kind = values.get("kind")
+        if kind is None or values.get("metric") is None or values.get("default_value") is None:
+            return
+        if kind is LimitKind.RENEWABLE and "period" not in values:
+            yield _KEY[UsageLimit, "period"], True, "RENEWABLE limits need a period"
+        elif kind is LimitKind.NON_RENEWABLE and "period" in values:
+            yield (_KEY[UsageLimit, "period"], False,
+                   "NON_RENEWABLE limits must not declare a period")
+    elif entity is AddOn:
+        if not values.get("feature_grants") and not values.get("limit_extensions"):
+            yield (None, True,
+                   "an add-on must grant at least one feature or extend at least one limit")
+    elif entity is Pricing:
+        if not values.get("plans") and not values.get("add_ons"):
+            yield _KEY[Pricing, "plans"], True, "a pricing needs at least one plan or add-on"
+
+
+def _check_joins(entity) -> None:
+    """Raise on the first rule of ``joins`` an entity breaks; its present
+    fields are those ``serialize`` writes, the ones not at their omitted default."""
+    present = {attr: value for _, attr, _, _, omit in FIELDS[type(entity)]
+               if (value := getattr(entity, attr)) not in omit}
+    for key, _, message in joins(type(entity), present):
+        _fail(entity, key, message)
+
+
+def _copy(entity, **changes):
+    """A copy of a checked entity with ``changes``, which are not checked again."""
+    copy = object.__new__(type(entity))
+    vars(copy).update(vars(entity), **changes)
+    return copy
 
 
 def _check_fields(entity) -> None:
@@ -743,6 +759,8 @@ del _C
 _LABELS = {Feature: "feature", UsageLimit: "usage limit", Plan: "plan", AddOn: "add-on"}
 # The Pricing attribute of each catalog, by its entry type.
 _CATALOG_ATTR = {field.holds: field.attr for field in FIELDS[Pricing]}
+# The document key of each field, by its entity and attribute.
+_KEY = {(entity, field.attr): field.key for entity, fields in FIELDS.items() for field in fields}
 
 
 def _checks(entity) -> tuple:

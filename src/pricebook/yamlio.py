@@ -13,9 +13,9 @@ stopping, each with line, column, and document path. Within an entity it
 reads the scalar fields first, then the nested ones, each in table order,
 and reports errors in that order. A feature without a ``type`` reports
 nothing more, and one whose type or value type is unreadable does not
-read its default value. The rules that join fields (a limit's period
-against its kind, an add-on that grants nothing, a pricing with neither
-plans nor add-ons) are checked once an entity's fields are read.
+read its default value. Once an entity's fields are read, the rules that
+join them, written once in ``model.joins``, are checked and located: a
+missing field at the entity's node, a forbidden one at its key.
 
 ``serialize`` emits the canonical form: keys in the order of the field
 table, catalog entries in declaration order, two-space indent, LF line
@@ -45,7 +45,7 @@ from .model import (
     NONBLANK,
     POSITIVE,
     WRAPPED_KEY,
-    AddOn,
+    _CATALOG_ATTR,
     Feature,
     FeatureType,
     FeatureValue,
@@ -56,6 +56,7 @@ from .model import (
     UsageLimit,
     ValueKind,
     Values,
+    joins,
     out_of_range,
     unknown,
 )
@@ -436,8 +437,15 @@ class _Reader:
                 value = values[attr] = read(self, item[1], at)
             if value is None:
                 ok = False
-        rule = _RULES.get(cls)
-        if rule is not None and not rule(self, values, fields, node, path):
+        present = values
+        if cls is Pricing:  # a declared plan counts even if it did not read; an add-on must read
+            present = {**values, _CATALOG_ATTR[Plan]: self.declared[Plan]}
+        for key, missing, message in joins(cls, present):
+            at = path if key is None else f"{path}.{key}" if path else key
+            if missing:
+                self.err(node, at, ErrorKind.MISSING_REQUIRED, message)
+            else:
+                self.err(fields[key][0], at, ErrorKind.TYPE_MISMATCH, message)
             ok = False
         return values, ok
 
@@ -518,36 +526,6 @@ class _Reader:
                 out[name] = value
         return out
 
-    # -- rules that join fields, checked once an entity's fields are read --
-
-    def pricing_rule(self, values: dict, fields: dict, node, path: str) -> bool:
-        if self.declared[Plan] or values.get("add_ons"):
-            return True
-        self.err(node, _PLANS_KEY, ErrorKind.MISSING_REQUIRED,
-                 "a pricing needs at least one plan or add-on")
-        return False
-
-    def limit_rule(self, values: dict, fields: dict, node, path: str) -> bool:
-        kind = values.get("kind")
-        if kind is None or values.get("metric") is None or values.get("default_value") is None:
-            return False
-        at = f"{path}.{_PERIOD_KEY}"
-        if kind is LimitKind.RENEWABLE and _PERIOD_KEY not in fields:
-            self.err(node, at, ErrorKind.MISSING_REQUIRED, "RENEWABLE limits need a period")
-            return False
-        if kind is LimitKind.NON_RENEWABLE and _PERIOD_KEY in fields:
-            self.err(fields[_PERIOD_KEY][0], at, ErrorKind.TYPE_MISMATCH,
-                     "NON_RENEWABLE limits must not declare a period")
-            return False
-        return True
-
-    def add_on_rule(self, values: dict, fields: dict, node, path: str) -> bool:
-        if values.get("feature_grants") or values.get("limit_extensions"):
-            return True
-        self.err(node, path, ErrorKind.MISSING_REQUIRED,
-                 "an add-on must grant at least one feature or extend at least one limit")
-        return False
-
 
 def _declared_kind(values: dict) -> ValueKind | None:
     """The kind of a feature's values: known once its type and value type have read."""
@@ -591,10 +569,6 @@ _WALK = {
                   for field in sorted(FIELDS[entity], key=_is_nested))
     for entity in (Pricing, Period, *ENTRIES)
 }
-_RULES = {Pricing: _Reader.pricing_rule, UsageLimit: _Reader.limit_rule,
-          AddOn: _Reader.add_on_rule}
-_PLANS_KEY = next(field.key for field in FIELDS[Pricing] if field.holds is Plan)
-_PERIOD_KEY = next(field.key for field in FIELDS[UsageLimit] if field.holds is Period)
 
 
 # -- canonical serialization ------------------------------------------------

@@ -27,6 +27,7 @@ from pricebook import (
     Plan,
     Pricing,
     QuotaExceededError,
+    UnknownPlanError,
     UsageLimit,
     ValueKind,
     lapse_windows,
@@ -727,6 +728,34 @@ def apply_changes(old: Pricing, changes: ChangeSet) -> Pricing:
             raw["addOns"][add_on]["usageLimitExtensions"][limit] = c.new
 
     return from_raw(raw)
+
+
+# -- whole-plan resolution oracle ----------------------------------------------
+
+@dataclass(frozen=True)
+class ResolvedPlanConfig:
+    """Total feature and limit values for one plan: override else default."""
+
+    plan_name: str
+    feature_values: dict[str, FeatureValue]
+    limit_values: dict[str, Decimal]
+
+
+def resolve_plan(pricing: Pricing, plan_name: str) -> ResolvedPlanConfig:
+    """Total configuration of one plan: every feature and limit gets a value,
+    its override if the plan has one, else the catalog default."""
+    if plan_name not in pricing.plans:
+        raise UnknownPlanError(plan_name)
+    plan = pricing.plans[plan_name]
+    feature_values = {
+        name: plan.feature_overrides.get(name, feat.default_value)
+        for name, feat in pricing.features.items()
+    }
+    limit_values = {
+        name: plan.limit_overrides.get(name, limit.default_value)
+        for name, limit in pricing.usage_limits.items()
+    }
+    return ResolvedPlanConfig(plan_name, feature_values, limit_values)
 
 
 # -- independent R2 oracle ----------------------------------------------------

@@ -63,7 +63,6 @@ from pricebook import (
     lapse_windows,
     parse_instant,
     pricing_stats,
-    resolve_plan,
     validate,
 )
 from pricebook.errors import ModelError, UnknownPlanError
@@ -74,7 +73,7 @@ from pricebook.subscriptions import (_check_add_ons, subscription_from_state,
 
 from support import (DECIMALS, _random_value, _remove_feature_refs, _remove_limit_refs,
                      engine_replay, from_raw, mutate_pricing, random_events, random_pricing,
-                     to_raw)
+                     resolve_plan, to_raw)
 
 T0 = parse_instant("2024-01-31T12:00:00Z")
 

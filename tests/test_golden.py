@@ -613,6 +613,59 @@ plans:
             "27:10 plans.R.usageLimits.l.value: MISSING_REQUIRED: missing required key 'value'",
         ],
     ),
+    # Where the rules that join fields report: a missing plan at the root,
+    # a forbidden period at its key, and only once the fields they join read.
+    "empty_plans": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN}
+plans: {}
+""",
+        ['1:1 plans: MISSING_REQUIRED: a pricing needs at least one plan or add-on'],
+    ),
+    "only_plan_unread": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN}
+plans:
+  P:
+    price: free
+""",
+        ['9:12 plans.P.price: TYPE_MISMATCH: expected a number'],
+    ),
+    "non_renewable_period_unread": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN, defaultValue: true}
+usageLimits:
+  seats:
+    type: NON_RENEWABLE
+    metric: seat
+    period: {value: 0, unit: DAY}
+    defaultValue: 1
+plans:
+  P: {price: 0}
+""",
+        [
+            '11:21 usageLimits.seats.period.value: TYPE_MISMATCH: expected an integer >= 1',
+            '11:5 usageLimits.seats.period: TYPE_MISMATCH: NON_RENEWABLE limits must not declare a period',
+        ],
+    ),
+    "renewable_period_unread": (
+        HEAD + """\
+features:
+  f: {type: DOMAIN, defaultValue: true}
+usageLimits:
+  calls:
+    type: RENEWABLE
+    metric: call
+    period: {value: 1, unit: DAYS}
+    defaultValue: 1
+plans:
+  P: {price: 0}
+""",
+        ["11:30 usageLimits.calls.period.unit: BAD_ENUM: 'DAYS' is not one of: DAY, WEEK, MONTH, YEAR"],
+    ),
 }
 
 

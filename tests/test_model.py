@@ -10,6 +10,7 @@ import pytest
 
 from pricebook import (
     AddOn,
+    DocumentError,
     Feature,
     FeatureClass,
     FeatureType,
@@ -32,13 +33,13 @@ from pricebook import (
     parse,
     parse_instant,
     pricing_stats,
-    resolve_plan,
     serialize,
     validate,
 )
+from pricebook import model
 from pricebook.model import FIELDS, Values
 
-from support import random_pricing
+from support import random_pricing, resolve_plan
 
 
 def mini(plans=None, features=None, add_ons=None, usage_limits=None, **metadata):
@@ -249,6 +250,76 @@ def _with_one_field(rng, pricing, value):
     if owner is None:
         return entity
     return replace(pricing, **{owner: {**catalogs[owner], entity.name: entity}})
+
+# A document head for the join-rule cases below: one feature, and a plan
+# that each case's text may replace.
+JOIN_HEAD = """\
+saasName: Mini
+version: "1"
+currency: USD
+billingPeriod: {value: 1, unit: MONTH}
+features:
+  thing: {type: DOMAIN, defaultValue: true}
+"""
+ONE_PLAN = "plans:\n  ONLY: {price: 0}\n"
+
+# Each rule that joins fields, broken by an entity built in code and by a document.
+JOIN_RULES = {
+    "renewable-without-period": (
+        lambda: calls(kind=LimitKind.RENEWABLE),
+        JOIN_HEAD + "usageLimits:\n  calls: {type: RENEWABLE, metric: call, defaultValue: 0}\n"
+        + ONE_PLAN),
+    "non-renewable-with-period": (
+        lambda: calls(period=Period(1, PeriodUnit.DAY)),
+        JOIN_HEAD + "usageLimits:\n  calls: {type: NON_RENEWABLE, metric: call, "
+        "period: {value: 1, unit: DAY}, defaultValue: 0}\n" + ONE_PLAN),
+    "add-on-without-grants": (
+        lambda: AddOn("extra", Decimal(1)),
+        JOIN_HEAD + ONE_PLAN + "addOns:\n  extra: {price: 1}\n"),
+    "pricing-without-plans": (
+        lambda: mini(plans={}),
+        JOIN_HEAD + "plans: {}\n"),
+}
+
+
+class TestJoinRules:
+    """The rules that join fields are written once, in ``model.joins``."""
+
+    @pytest.mark.parametrize("build, document", JOIN_RULES.values(), ids=list(JOIN_RULES))
+    def test_an_entity_built_in_code_gives_the_parsers_message(self, build, document):
+        with pytest.raises(DocumentError) as parsed:
+            parse(document)
+        [error] = parsed.value.errors
+        with pytest.raises(ModelError) as built:
+            build()
+        assert error.message in str(built.value)
+
+    def test_a_pricing_checks_each_entry_once_and_leaves_the_callers_as_they_were(
+            self, monkeypatch):
+        checked = []
+        check_fields = model._check_fields
+
+        def counted(entity):
+            checked.append(type(entity))
+            check_fields(entity)
+
+        monkeypatch.setattr(model, "_check_fields", counted)
+        # each entry is one the pricing rebuilds: a duplicate to drop, an
+        # override restating the default, references out of catalog order
+        limit = calls(linked_features=("thing", "thing"))
+        plan = Plan("ONLY", Decimal(0), feature_overrides={"thing": FeatureValue.boolean(True)},
+                    limit_overrides={"calls": Decimal(7)})
+        add_on = AddOn("extra", Decimal(1), available_for=("ONLY", "ONLY"),
+                       limit_extensions={"calls": Decimal(2)})
+        built = copy.deepcopy((limit, plan, add_on))
+        pricing = mini(usage_limits={"calls": limit}, plans={"ONLY": plan},
+                       add_ons={"extra": add_on})
+        assert [checked.count(kind) for kind in (UsageLimit, Plan, AddOn, Pricing)] == [1] * 4
+        assert (limit, plan, add_on) == built
+        assert type(plan.feature_overrides) is dict
+        assert pricing.usage_limits["calls"].linked_features == ("thing",)
+        assert pricing.plans["ONLY"].feature_overrides == {}
+        assert pricing.add_ons["extra"].available_for == ("ONLY",)
 
 
 class TestResolvePlan:
