@@ -12,7 +12,8 @@ canonicalization, so the change kinds cover every field of the model,
 including metadata: ``diff`` walks the field table ``model.FIELDS``, which
 names the change kind of each field, and reports values and definitions
 in the table's JSON form (``model.to_json``). Output order is
-deterministic: by change kind, then by subject names.
+deterministic: by change kind, then by subject names. ``impact`` asks
+``model.enabled`` what a subscriber reaches, and needs no engine call.
 """
 
 from __future__ import annotations
@@ -20,10 +21,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import TYPE_CHECKING
 
 from .errors import UnknownPlanError
-from .model import _CATALOG_ATTR, FIELDS, ChangeKind, Plan, Pricing, to_json
-from .subscriptions import Subscription, _enabled
+from .model import (_CATALOG_ATTR, FIELDS, ChangeKind, FeatureValue, Plan, Pricing, ValueKind,
+                    enabled, to_json)
+
+if TYPE_CHECKING:
+    from .subscriptions import Subscription
 
 __all__ = ["ChangeKind", "Change", "ChangeSet", "diff", "impact"]
 
@@ -165,11 +170,9 @@ def _diff_entry(old: Pricing, new: Pricing, moved: dict[str, set[str]], name: st
 
 def _definition_truthy(definition: dict) -> bool:
     payload = definition["defaultValue"]
-    if payload["type"] == "BOOLEAN":
-        return bool(payload["value"])
-    if payload["type"] == "NUMERIC":
-        return Decimal(payload["value"]) > 0
-    return payload["value"] != ""
+    kind = ValueKind(payload["type"])
+    return FeatureValue(kind, Decimal(payload["value"]) if kind is ValueKind.NUMERIC
+                        else payload["value"]).truthy
 
 
 def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> ChangeSet:
@@ -186,11 +189,11 @@ def impact(pricing: Pricing, subscription: Subscription, changes: ChangeSet) -> 
     if subscription.plan_name not in pricing.plans:
         raise UnknownPlanError(subscription.plan_name)
     index = pricing._index
-    plan_name = subscription.plan_name
+    switches = index.plan_switches[subscription.plan_name]
     granted = set().union(*(index.truthy_grants.get(a, ()) for a in subscription.add_on_names))
 
     def reachable(feature: str) -> bool:
-        return _enabled(index, plan_name, feature, feature in granted)
+        return enabled(feature, index.truthy_defaults, switches, feature in granted)
 
     kept = []
     for change in changes:

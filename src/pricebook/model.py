@@ -18,6 +18,9 @@ first use, and keep it. The entries it rebuilds are copies, not checked
 again; ``Plan`` and ``AddOn`` objects built by hand keep the plain dicts
 they were given.
 
+The rule of which features a subscriber has enabled is written here too,
+once (``enabled_features``), for the engine, ``impact`` and ``validate``.
+
 Numbers are ``decimal.Decimal`` throughout. Documents round-trip exactly
 and equality never suffers binary floating point surprises.
 """
@@ -335,9 +338,9 @@ class Pricing:
                 if key != value.name:
                     raise ModelError(
                         f"{_LABELS[entry]} map key {key!r} does not match name {value.name!r}")
-        clash = set(self.features) & set(self.usage_limits)
-        if clash:
-            raise ModelError(f"names used for both a feature and a usage limit: {sorted(clash)}")
+        for name, limit in self.usage_limits.items():
+            if name in self.features:
+                _fail(limit, None, f"{name!r} is already the name of a feature")
         _check_joins(self)
         for entry, references in _REFERENCES.items():
             for value in getattr(self, _CATALOG_ATTR[entry]).values():
@@ -367,8 +370,8 @@ class _EngineIndex:
     tables: the engine reads the one plan value it needs from the plan's
     overrides, so the index stays small and catalog-wide readers
     (``validate``, ``pricing_stats``, ``diff``) never build it. The engine
-    and ``impact`` read which features a subscriber has enabled from the
-    truthy sets, whose per-plan entries hold only the plan's overrides.
+    and ``impact`` pass the truthy sets, whose per-plan entries hold only
+    the plan's overrides, to ``enabled_features`` and ``enabled``.
     """
 
     linked_limits: dict[str, tuple[str, ...]]  # feature -> limits linked to it
@@ -463,10 +466,21 @@ def plan_switches(plan: Plan) -> tuple[frozenset[str], frozenset[str]]:
     return on, frozenset(plan.feature_overrides.keys() - on)
 
 
-def truthy_in_plan(defaults: frozenset[str], plan: Plan) -> frozenset[str]:
-    """Features a plan resolves truthy: the truthy ``defaults``, switched by its overrides."""
-    on, off = plan_switches(plan)
-    return (defaults - off) | on
+def enabled_features(defaults: frozenset[str], switches: tuple[frozenset[str], frozenset[str]],
+                     grants=()) -> frozenset[str]:
+    """The features enabled for a subscriber of a plan; the one place the rule is
+    written. A feature is enabled when a subscribed add-on grants it truthy
+    (``grants``; ``granted`` in ``enabled``, which asks it of one feature), when the
+    plan overrides it truthy, or when its catalog default is truthy (``defaults``)
+    and the plan does not override it falsy (``switches``, from ``plan_switches``)."""
+    on, off = switches
+    return (defaults - off).union(on, *grants)
+
+
+def enabled(feature: str, defaults: frozenset[str],
+            switches: tuple[frozenset[str], frozenset[str]], granted: bool) -> bool:
+    on, off = switches
+    return granted or feature in on or (feature in defaults and feature not in off)
 
 
 def classify_features(pricing: Pricing) -> dict[str, FeatureClass]:
@@ -501,7 +515,8 @@ def pricing_stats(pricing: Pricing) -> StatsSummary:
         limit_kinds[limit.kind] += 1
 
     defaults = truthy_defaults(pricing)
-    plan_managed = set().union(*(truthy_in_plan(defaults, p) for p in pricing.plans.values()))
+    plan_managed = set().union(*(enabled_features(defaults, plan_switches(p))
+                                 for p in pricing.plans.values()))
     granted = {name: truthy_grants(add_on) for name, add_on in pricing.add_ons.items()}
     return StatsSummary(
         plans=len(pricing.plans),
@@ -570,7 +585,7 @@ def _number(low: int, message: str, *, above: bool = False):
     """A number's range: finite, its exponent bounded, and ``low`` or more (or above)."""
     def in_range(value) -> str | None:
         number = Decimal(value)
-        if not number.is_finite() or not -MAX_EXPONENT <= number.adjusted() <= MAX_EXPONENT:
+        if not number.is_finite() or not exponent_in_range(number):
             return _EXPONENT_MESSAGE
         return None if (number > low if above else number >= low) else message
     return in_range

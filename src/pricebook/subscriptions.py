@@ -1,7 +1,8 @@
 """Subscription-time semantics: entitlements, effective limits, metering.
 
 A subscription binds one plan, any number of available add-ons, a start
-instant, and per-limit usage counters. Everything here is functional:
+instant, and per-limit usage counters. Which features it has enabled is
+the rule ``model.enabled_features`` states. Everything here is functional:
 operations take a subscription and return a new one, never mutating in
 place, so a rejected recording leaves the caller's state untouched and
 distinct subscriptions are trivially thread-safe.
@@ -33,8 +34,8 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, _EngineIndex, exponent_in_range,
-                    out_of_range, to_decimal, to_json)
+from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, enabled, enabled_features,
+                    exponent_in_range, out_of_range, to_decimal, to_json)
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -285,28 +286,6 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
     return _with_usage(subscription, renewed)
 
 
-def _enabled(index: _EngineIndex, plan_name: str, feature: str, granted: bool) -> bool:
-    """Whether a feature is enabled for a subscriber of the plan.
-
-    It is when a subscribed add-on grants it a truthy value (``granted``),
-    when the plan overrides it with a truthy value, or when its catalog
-    default is truthy and the plan does not override it with a falsy one.
-    ``_enabled_features`` applies this rule to every feature at once.
-    """
-    on, off = index.plan_switches[plan_name]
-    return granted or feature in on or (feature in index.truthy_defaults and feature not in off)
-
-
-def _enabled_features(index: _EngineIndex, plan_name: str,
-                      add_on_names: frozenset[str]) -> set[str]:
-    """The features ``_enabled`` holds for, in set algebra: the truthy
-    defaults less the plan's falsy overrides, with its truthy overrides and
-    the subscribed add-ons' truthy grants."""
-    on, off = index.plan_switches[plan_name]
-    grants = index.truthy_grants
-    return (index.truthy_defaults - off).union(on, *(grants.get(name, ()) for name in add_on_names))
-
-
 def _status(pricing: Pricing, plan: Plan, lapsed: Subscription, limit: str) -> LimitStatus:
     eff = _effective(pricing, plan, lapsed.add_on_names, limit)
     used = lapsed.usage[limit].used
@@ -349,7 +328,8 @@ def evaluate_feature(
         if add_on in names:  # a grant dominates the plan value; the last in catalog order wins
             value = grant
             granted = granted or grant.truthy
-    return _result(feature_name, _enabled(index, plan.name, feature_name, granted), value,
+    return _result(feature_name, enabled(feature_name, index.truthy_defaults,
+                                         index.plan_switches[plan.name], granted), value,
                    tuple(_status(pricing, plan, lapsed, limit)
                          for limit in index.linked_limits.get(feature_name, ())))
 
@@ -363,16 +343,16 @@ def evaluation_context(
 
     One pass: what the subscriber sees where it differs from the catalog
     (the plan's overrides, then the subscribed add-ons' grants over them in
-    catalog order, so the last grant wins) and its enabled features are
-    built from the plan's overrides and those grants, each linked limit is
-    worked out once, and every feature is then read with dict and set
-    lookups.
+    catalog order, so the last grant wins) and its ``enabled_features`` are
+    built once, each linked limit is worked out once, and every feature is
+    then read with dict and set lookups.
     """
     lapsed = lapse_windows(pricing, subscription, now)
     plan = _plan(pricing, lapsed)
     index = pricing._index
     names = lapsed.add_on_names
-    enabled = _enabled_features(index, plan.name, names)
+    active = enabled_features(index.truthy_defaults, index.plan_switches[plan.name],
+                              (index.truthy_grants.get(name, ()) for name in names))
     seen = dict(plan.feature_overrides)
     for add_on in pricing.add_ons.values():
         if add_on.name in names:
@@ -384,7 +364,7 @@ def evaluation_context(
     context = {}
     for name, feature in pricing.features.items():
         limits = linked.get(name)
-        context[name] = _result(name, name in enabled, seen.get(name, feature.default_value),
+        context[name] = _result(name, name in active, seen.get(name, feature.default_value),
                                 () if limits is None else tuple(map(status, limits)))
     return context
 
@@ -519,7 +499,7 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
                 raise ValueError(f"usage entry for {name!r} has a bad counter") from None
             if not used.is_finite() or used < 0:
                 raise ValueError(f"usage entry for {name!r} has a bad counter")
-            if not -MAX_EXPONENT <= used.adjusted() <= MAX_EXPONENT:  # exponent_in_range, inlined
+            if not exponent_in_range(used):
                 raise ValueError(f"usage entry for {name!r} has a counter exponent "
                                  f"outside -{MAX_EXPONENT}..{MAX_EXPONENT}")
             useds[text] = used
@@ -596,4 +576,6 @@ def subscription_from_json(pricing: Pricing, text: str) -> Subscription:
         state = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"subscription state is not valid JSON: {exc}") from None
+    except RecursionError:  # json.loads recurses once per level of nesting
+        raise ValueError("subscription state is nested too deeply") from None
     return subscription_from_state(pricing, state)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
-from .model import Pricing, truthy_defaults, truthy_grants, truthy_in_plan
+from .model import Pricing, enabled_features, plan_switches, truthy_defaults, truthy_grants
 
 __all__ = ["Rule", "Violation", "ValidationReport", "validate"]
 
@@ -77,7 +77,7 @@ def validate(pricing: Pricing) -> ValidationReport:
 
     defaults = truthy_defaults(pricing)
     reachable = set().union(
-        *(truthy_in_plan(defaults, plan) for plan in pricing.plans.values()),
+        *(enabled_features(defaults, plan_switches(plan)) for plan in pricing.plans.values()),
         *(truthy_grants(add_on) for add_on in pricing.add_ons.values()),
     )
     for name in pricing.features:

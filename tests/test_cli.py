@@ -383,3 +383,21 @@ class TestStateErrorOrder:
         for argv in (["consume", "--limit", "daily", "--amount", "1"], ["evaluate", "--all"]):
             code, out, err = run(capsys, argv[0], str(doc), "--subscription", str(path), *argv[1:])
             assert (code, out, err) == (3, "", f"error: {path}: usage entry for {message}\n")
+
+
+
+class TestDeeplyNestedState:
+    """A state file nested past the interpreter's recursion limit exits 3, not with a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "{doc}", "--subscription", "{state}", "--feature", "hugeMeetings"],
+        ["consume", "{doc}", "--subscription", "{state}", "--limit", "maxAssistantsPerMeeting",
+         "--amount", "1"],
+        ["diff", "{doc}", "{doc}", "--impact", "{state}"],
+    ], ids=["evaluate", "consume", "diff"])
+    def test_exit_3(self, capsys, zoom_file, tmp_path, argv):
+        path = tmp_path / "state.json"
+        path.write_text("[" * 1000 + "]" * 1000, encoding="utf-8")
+        code, out, err = run(capsys, *(arg.format(doc=zoom_file, state=path) for arg in argv))
+        assert (code, out) == (3, "")
+        assert err == f"error: {path}: subscription state is nested too deeply\n"

@@ -74,11 +74,15 @@ def states(draw):
             key = draw(st.sampled_from(sorted(target) + ["windowIndex", "extra"]))
             target[key] = draw(JSON_VALUES)
     text = json.dumps(state)
-    if draw(st.booleans()):  # integers Python will not read from text, or a cut file
+    if draw(st.booleans()):
+        # integers Python will not read from text, a cut file, or nesting
+        # deeper than the interpreter's recursion limit
         text = draw(st.sampled_from([
             text.replace('"windowIndex": 0', '"windowIndex": ' + "9" * 5000),
             text.replace('"value": 1', '"value": ' + "9" * 5000),
             text[:len(text) // 2],
+            "[" * 1000 + "]" * 1000,
+            text.replace('"used": "0"', '"used": ' + '{"a": ' * 5000 + "0" + "}" * 5000),
         ]))
     return text
 

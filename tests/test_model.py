@@ -322,6 +322,46 @@ class TestJoinRules:
         assert pricing.add_ons["extra"].available_for == ("ONLY",)
 
 
+# Each rule that joins catalog entries by name, broken by a pricing built in
+# code and by a document.
+NAME_RULES = {
+    "limit-named-like-a-feature": (
+        lambda: mini(usage_limits={"thing": calls(name="thing")}),
+        JOIN_HEAD + "usageLimits:\n  thing: {type: NON_RENEWABLE, metric: call, defaultValue: 0}\n"
+        + ONE_PLAN),
+    "unknown-plan-in-availableFor": (
+        lambda: mini(add_ons={"extra": AddOn(
+            "extra", Decimal(1), available_for=("NOPE",),
+            feature_grants={"thing": FeatureValue.boolean(True)})}),
+        JOIN_HEAD + ONE_PLAN + "addOns:\n  extra:\n    price: 1\n    availableFor: [NOPE]\n"
+        "    features: {thing: {value: true}}\n"),
+    "unknown-key-in-a-value-map": (
+        lambda: mini(plans={"ONLY": Plan("ONLY", Decimal(0), feature_overrides={
+            "nope": FeatureValue.boolean(True)})}),
+        JOIN_HEAD + "plans:\n  ONLY:\n    price: 0\n    features: {nope: {value: true}}\n"),
+}
+
+
+class TestNameRules:
+    """A pricing built in code names a broken reference as the parser does."""
+
+    @pytest.mark.parametrize("build, document", NAME_RULES.values(), ids=list(NAME_RULES))
+    def test_a_pricing_built_in_code_gives_the_parsers_message(self, build, document):
+        with pytest.raises(DocumentError) as parsed:
+            parse(document)
+        [error] = parsed.value.errors
+        with pytest.raises(ModelError) as built:
+            build()
+        assert error.message in str(built.value)
+
+    def test_the_first_limit_named_like_a_feature_in_catalog_order_is_named(self):
+        features = {name: Feature(name, FeatureType.DOMAIN) for name in ("a", "b")}
+        limits = {name: calls(name=name) for name in ("b", "a")}
+        with pytest.raises(ModelError) as built:
+            mini(features=features, usage_limits=limits)
+        assert str(built.value) == "usage limit 'b': 'b' is already the name of a feature"
+
+
 class TestResolvePlan:
     def test_zoom_basic_chat_support_off(self, zoom):
         resolved = resolve_plan(zoom, "BASIC")

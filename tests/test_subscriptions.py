@@ -595,6 +595,13 @@ class TestStatePersistence:
         with pytest.raises(ValueError):
             subscription_from_json(zoom, "not json")
 
+    @pytest.mark.parametrize("depth", [900, 1000, 100_000])
+    @pytest.mark.parametrize("opened, inner, closed", [("[", "", "]"), ('{"a": ', "0", "}")])
+    def test_deeply_nested_state_is_a_value_error(self, zoom, depth, opened, inner, closed):
+        # Past the interpreter's recursion limit json.loads raises RecursionError.
+        with pytest.raises(ValueError):
+            subscription_from_json(zoom, opened * depth + inner + closed * depth)
+
 
 class TestCalendarEnd:
     """Windows and instants at the edge of what a datetime can name."""
