@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 import tempfile
 from decimal import Decimal, InvalidOperation
@@ -53,7 +54,6 @@ from .subscriptions import (
     effective_limit,
     evaluate_feature,
     evaluation_context,
-    format_instant,
     parse_instant,
     record_usage,
     subscription_from_json,
@@ -115,9 +115,9 @@ def _require_valid(path: str, pricing: Pricing, *, code: ExitCode) -> None:
         raise _Fail(code, "\n".join(lines))
 
 
-def _parse_at(value: str | None, fallback: str = EPOCH):
+def _parse_at(value: str | None):
     try:
-        return parse_instant(value if value is not None else fallback)
+        return parse_instant(EPOCH if value is None else value)
     except ValueError as exc:
         raise _Fail(ExitCode.USAGE, f"error: {exc}") from None
 
@@ -133,11 +133,16 @@ def _load_subscription(pricing: Pricing, path: str, *, binding_code: ExitCode) -
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Replace ``path`` by a temporary file renamed over it, keeping its mode."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".pricebook-", suffix=".tmp", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(data)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -191,7 +196,7 @@ def _evaluation_subscription(args, pricing: Pricing):
                         "error: --subscription cannot be combined with --plan/--addons")
         subscription = _load_subscription(pricing, args.subscription,
                                           binding_code=ExitCode.EVALUATION)
-        now = _parse_at(args.at, fallback=format_instant(subscription.start_instant))
+        now = subscription.start_instant if args.at is None else _parse_at(args.at)
         return subscription, now
     if not args.plan:
         raise _Fail(ExitCode.USAGE, "error: either --plan or --subscription is required")
@@ -232,7 +237,7 @@ def cmd_consume(args) -> int:
     if amount.is_finite() and not exponent_in_range(amount):
         raise _Fail(ExitCode.USAGE, f"error: --amount exponent must lie within "
                                     f"-{MAX_EXPONENT}..{MAX_EXPONENT}, got {args.amount!r}")
-    now = _parse_at(args.at, fallback=format_instant(subscription.start_instant))
+    now = subscription.start_instant if args.at is None else _parse_at(args.at)
     try:
         updated = record_usage(pricing, subscription, args.limit, amount, now)
     except (QuotaExceededError, UnknownLimitError) as exc:

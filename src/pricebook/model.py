@@ -370,8 +370,8 @@ class _EngineIndex:
     tables: the engine reads the one plan value it needs from the plan's
     overrides, so the index stays small and catalog-wide readers
     (``validate``, ``pricing_stats``, ``diff``) never build it. The engine
-    and ``impact`` pass the truthy sets, whose per-plan entries hold only
-    the plan's overrides, to ``enabled_features`` and ``enabled``.
+    and ``impact`` pass its truthy sets and each plan's ``plan_switches`` to
+    ``enabled_features`` and ``enabled``.
     """
 
     linked_limits: dict[str, tuple[str, ...]]  # feature -> limits linked to it
@@ -379,8 +379,7 @@ class _EngineIndex:
     extensions: dict[str, tuple[tuple[str, Decimal], ...]]  # limit -> (add-on, extension)
     truthy_defaults: frozenset[str]  # features whose catalog default is truthy
     truthy_grants: dict[str, frozenset[str]]  # add-on -> features it grants truthy
-    # plan -> (features it overrides truthy, features it overrides falsy)
-    plan_switches: dict[str, tuple[frozenset[str], frozenset[str]]]
+    plan_switches: dict[str, Switches]  # plan -> its ``plan_switches``
     # (period, limits) for each distinct period of the periodic limits
     renewals: tuple[tuple[Period, tuple[str, ...]], ...]
     # (limit, period, position of the period in ``renewals``) for every limit
@@ -460,27 +459,28 @@ def truthy_grants(add_on: AddOn) -> frozenset[str]:
     return frozenset(name for name, value in add_on.feature_grants.items() if value.truthy)
 
 
-def plan_switches(plan: Plan) -> tuple[frozenset[str], frozenset[str]]:
-    """The features a plan's overrides make truthy, and those they make falsy."""
-    on = frozenset(name for name, value in plan.feature_overrides.items() if value.truthy)
-    return on, frozenset(plan.feature_overrides.keys() - on)
+Switches = tuple[frozenset[str], dict[str, FeatureValue]]  # what ``plan_switches`` returns
 
 
-def enabled_features(defaults: frozenset[str], switches: tuple[frozenset[str], frozenset[str]],
-                     grants=()) -> frozenset[str]:
+def plan_switches(plan: Plan) -> Switches:
+    """The features a plan's overrides make truthy, and the overrides themselves."""
+    overrides = plan.feature_overrides
+    return frozenset(name for name, value in overrides.items() if value.truthy), overrides
+
+
+def enabled_features(defaults: frozenset[str], switches: Switches, grants=()) -> frozenset[str]:
     """The features enabled for a subscriber of a plan; the one place the rule is
     written. A feature is enabled when a subscribed add-on grants it truthy
     (``grants``; ``granted`` in ``enabled``, which asks it of one feature), when the
     plan overrides it truthy, or when its catalog default is truthy (``defaults``)
-    and the plan does not override it falsy (``switches``, from ``plan_switches``)."""
-    on, off = switches
-    return (defaults - off).union(on, *grants)
+    and the plan does not override it at all (``switches``, from ``plan_switches``)."""
+    on, overrides = switches
+    return defaults.difference(overrides).union(on, *grants)
 
 
-def enabled(feature: str, defaults: frozenset[str],
-            switches: tuple[frozenset[str], frozenset[str]], granted: bool) -> bool:
-    on, off = switches
-    return granted or feature in on or (feature in defaults and feature not in off)
+def enabled(feature: str, defaults: frozenset[str], switches: Switches, granted: bool) -> bool:
+    on, overrides = switches
+    return granted or feature in on or (feature in defaults and feature not in overrides)
 
 
 def classify_features(pricing: Pricing) -> dict[str, FeatureClass]:

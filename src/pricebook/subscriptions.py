@@ -5,7 +5,8 @@ instant, and per-limit usage counters. Which features it has enabled is
 the rule ``model.enabled_features`` states. Everything here is functional:
 operations take a subscription and return a new one, never mutating in
 place, so a rejected recording leaves the caller's state untouched and
-distinct subscriptions are trivially thread-safe.
+distinct subscriptions are trivially thread-safe; the new one is a copy
+with new counters (``model._copy``), not checked again.
 
 Time is always an explicit argument. The engine never reads a clock,
 which keeps replays and tests deterministic. Limits that declare a period
@@ -34,8 +35,8 @@ from .errors import (
     UnknownLimitError,
     UnknownPlanError,
 )
-from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, enabled, enabled_features,
-                    exponent_in_range, out_of_range, to_decimal, to_json)
+from .model import (MAX_EXPONENT, FeatureValue, Plan, Pricing, _copy, enabled,
+                    enabled_features, exponent_in_range, out_of_range, to_decimal, to_json)
 from .periods import Period, PeriodUnit, advance, latest_window_index, window_started
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "record_usage",
     "lapse_windows",
     "reset_usage",
-    "subscription_to_state",
     "subscription_from_state",
     "subscription_to_json",
     "subscription_from_json",
@@ -150,9 +150,9 @@ def parse_instant(text: str) -> datetime:
 
 
 def format_instant(instant: datetime) -> str:
-    """RFC-3339 UTC timestamp with whole seconds and a four-digit year."""
-    utc = instant.astimezone(timezone.utc).replace(tzinfo=None)
-    return utc.isoformat(timespec="seconds") + "Z"
+    """RFC-3339 UTC timestamp with whole seconds and a four-digit year; a
+    naive or fractional instant raises ValueError, as at every engine call."""
+    return _check_instant(instant).replace(tzinfo=None).isoformat() + "Z"
 
 
 def _check_instant(instant: datetime) -> datetime:
@@ -283,7 +283,7 @@ def lapse_windows(pricing: Pricing, subscription: Subscription, now: datetime) -
                     renewed[name] = fresh[usage[name].window_index]
     if renewed is None:
         return subscription
-    return _with_usage(subscription, renewed)
+    return _copy(subscription, usage=renewed)
 
 
 def _status(pricing: Pricing, plan: Plan, lapsed: Subscription, limit: str) -> LimitStatus:
@@ -394,13 +394,14 @@ def record_usage(
         raise ModelError(f"usage amount exponent must lie within "
                          f"-{MAX_EXPONENT}..{MAX_EXPONENT}, got {amount}")
     lapsed = lapse_windows(pricing, subscription, now)
-    effective = effective_limit(pricing, lapsed, limit_name)
+    effective = _effective(pricing, _plan(pricing, lapsed), lapsed.add_on_names, limit_name)
     state = lapsed.usage[limit_name]
-    if state.used + amount > effective:
+    used = state.used + amount
+    if used > effective:
         raise QuotaExceededError(limit_name, effective, state.used, amount)
     usage = dict(lapsed.usage)
-    usage[limit_name] = UsageState(state.used + amount, state.window_start, state.window_index)
-    return _with_usage(lapsed, usage)
+    usage[limit_name] = UsageState(used, state.window_start, state.window_index)
+    return _copy(lapsed, usage=usage)
 
 
 def reset_usage(subscription: Subscription, limit_name: str) -> Subscription:
@@ -410,35 +411,10 @@ def reset_usage(subscription: Subscription, limit_name: str) -> Subscription:
     usage = dict(subscription.usage)
     state = usage[limit_name]
     usage[limit_name] = UsageState(_ZERO, state.window_start, state.window_index)
-    return _with_usage(subscription, usage)
-
-
-def _with_usage(subscription: Subscription, usage: dict[str, UsageState]) -> Subscription:
-    """``replace(subscription, usage=usage)``, without its walk over the fields."""
-    return Subscription(subscription.plan_name, subscription.add_on_names,
-                        subscription.start_instant, subscription.contract_period, usage)
+    return _copy(subscription, usage=usage)
 
 
 # -- persistence -------------------------------------------------------------
-
-def subscription_to_state(pricing: Pricing, subscription: Subscription) -> dict:
-    usage = {}
-    for name in pricing.usage_limits:
-        state = subscription.usage[name]
-        entry: dict = {"used": format(state.used, "f")}
-        if state.window_index is not None:
-            entry["windowStart"] = format_instant(state.window_start)
-            entry["windowIndex"] = state.window_index
-        usage[name] = entry
-    return {
-        "saasName": pricing.saas_name,
-        "plan": subscription.plan_name,
-        "addOns": sorted(subscription.add_on_names),
-        "startInstant": format_instant(subscription.start_instant),
-        "contractPeriod": to_json(subscription.contract_period),
-        "usage": usage,
-    }
-
 
 def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
     """Rebuild a subscription from its persisted form, checking the binding.
@@ -529,8 +505,8 @@ def subscription_from_state(pricing: Pricing, state: dict) -> Subscription:
 
 
 def subscription_to_json(pricing: Pricing, subscription: Subscription) -> str:
-    """``json.dumps(subscription_to_state(...), indent=2)`` and a newline,
-    byte for byte, written in the state's fixed shape.
+    """The state file, the one writer: byte for byte what ``json.dumps`` with
+    ``indent=2`` and a newline write of the state's map, in its fixed shape.
 
     ``json.dumps`` with an indent always runs the json module's pure-Python
     encoder; here every string goes through its C escaper instead (ASCII,

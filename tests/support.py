@@ -30,6 +30,7 @@ from pricebook import (
     UnknownPlanError,
     UsageLimit,
     ValueKind,
+    format_instant,
     lapse_windows,
     record_usage,
     reset_usage,
@@ -756,6 +757,30 @@ def resolve_plan(pricing: Pricing, plan_name: str) -> ResolvedPlanConfig:
         for name, limit in pricing.usage_limits.items()
     }
     return ResolvedPlanConfig(plan_name, feature_values, limit_values)
+
+
+# -- the state file's reference writer -----------------------------------------
+
+def subscription_to_state(pricing: Pricing, subscription) -> dict:
+    """The map a state file holds; ``subscription_to_json`` must write
+    ``json.dumps`` of it with ``indent=2`` and a newline, byte for byte."""
+    usage = {}
+    for name in pricing.usage_limits:
+        state = subscription.usage[name]
+        entry: dict = {"used": format(state.used, "f")}
+        if state.window_index is not None:
+            entry["windowStart"] = format_instant(state.window_start)
+            entry["windowIndex"] = state.window_index
+        usage[name] = entry
+    period = subscription.contract_period
+    return {
+        "saasName": pricing.saas_name,
+        "plan": subscription.plan_name,
+        "addOns": sorted(subscription.add_on_names),
+        "startInstant": format_instant(subscription.start_instant),
+        "contractPeriod": {"value": period.value, "unit": period.unit.value},
+        "usage": usage,
+    }
 
 
 # -- independent R2 oracle ----------------------------------------------------

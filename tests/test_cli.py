@@ -2,6 +2,7 @@
 
 import json
 import os
+import stat
 from decimal import Decimal
 from pathlib import Path
 
@@ -223,6 +224,16 @@ class TestConsume:
         state = json.loads(Path(state_file).read_text(encoding="utf-8"))
         assert state["usage"]["maxAssistantsPerMeeting"]["used"] == "10"
         assert run(capsys, "evaluate", str(dup), "--subscription", state_file, "--all")[0] == 1
+
+    @pytest.mark.parametrize("mode", [0o644, 0o640], ids=oct)
+    def test_keeps_the_state_file_mode(self, capsys, zoom_file, state_file, mode):
+        os.chmod(state_file, mode)
+        code, out, _ = run(capsys, "consume", zoom_file, "--subscription", state_file,
+                           "--limit", "maxAssistantsPerMeeting", "--amount", "1")
+        assert (code, out) == (0, "999\n")
+        assert stat.S_IMODE(os.stat(state_file).st_mode) == mode
+        state = json.loads(Path(state_file).read_text(encoding="utf-8"))
+        assert state["usage"]["maxAssistantsPerMeeting"]["used"] == "1"
 
     def test_interrupted_write_preserves_state(self, capsys, zoom_file, state_file,
                                                monkeypatch):

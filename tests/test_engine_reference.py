@@ -68,12 +68,11 @@ from pricebook import (
 from pricebook.errors import ModelError, UnknownPlanError
 from pricebook.model import _CATALOG_ATTR, FIELDS, MAX_EXPONENT, out_of_range, to_json
 from pricebook.periods import advance, latest_window_index, window_started
-from pricebook.subscriptions import (_check_add_ons, subscription_from_state,
-                                     subscription_to_state)
+from pricebook.subscriptions import _check_add_ons, subscription_from_state
 
 from support import (DECIMALS, _random_value, _remove_feature_refs, _remove_limit_refs,
                      engine_replay, from_raw, mutate_pricing, random_events, random_pricing,
-                     resolve_plan, to_raw)
+                     resolve_plan, subscription_to_state, to_raw)
 
 T0 = parse_instant("2024-01-31T12:00:00Z")
 

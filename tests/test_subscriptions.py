@@ -3,8 +3,10 @@
 import calendar
 import copy
 import json
+import os
 import pickle
 import random
+import time
 from dataclasses import FrozenInstanceError, fields, replace
 from datetime import datetime, timedelta, timezone
 from decimal import Decimal
@@ -26,6 +28,7 @@ from pricebook import (
     Plan,
     Pricing,
     QuotaExceededError,
+    Subscription,
     UnknownAddOnError,
     UnknownFeatureError,
     UnknownLimitError,
@@ -46,7 +49,6 @@ from pricebook import (
 )
 from pricebook.periods import (_add_months, _days_in_month, advance, latest_window_index,
                                window_started)
-from pricebook.subscriptions import subscription_to_state
 
 from support import (
     DAILY_DOC,
@@ -59,6 +61,7 @@ from support import (
     oracle_window_start,
     random_events,
     random_pricing,
+    subscription_to_state,
     to_raw,
 )
 
@@ -658,6 +661,43 @@ class TestCalendarEnd:
                     call()
 
 
+class TestFormatInstant:
+    """``format_instant`` reads an instant by the rule of every engine entry
+    point: a naive or fractional one raises ``ValueError``, whatever the host's
+    time zone, and an aware one is written in UTC."""
+
+    @pytest.fixture(params=["UTC", "America/New_York", "Asia/Tokyo"])
+    def host_zone(self, request):
+        before = os.environ.get("TZ")
+        os.environ["TZ"] = request.param
+        time.tzset()
+        yield request.param
+        if before is None:
+            del os.environ["TZ"]
+        else:
+            os.environ["TZ"] = before
+        time.tzset()
+
+    def test_naive_instant_is_a_value_error(self, host_zone):
+        with pytest.raises(ValueError, match="^instants must be timezone-aware$"):
+            format_instant(datetime(2024, 1, 31, 12))
+
+    def test_fractional_instant_is_a_value_error(self, host_zone):
+        for instant in (datetime(2024, 1, 31, 12, 0, 0, 500000, tzinfo=timezone.utc),
+                        datetime(2024, 1, 31, 12, 0, 0, 1, tzinfo=timezone(timedelta(hours=9)))):
+            with pytest.raises(ValueError, match="^instants are whole seconds$"):
+                format_instant(instant)
+
+    def test_aware_instant_is_written_in_utc(self, host_zone):
+        for zone in _OFFSETS:
+            assert format_instant(T0.astimezone(zone)) == "2024-01-31T12:00:00Z"
+
+    def test_instant_leaving_the_calendar_in_utc_is_a_value_error(self):
+        late = datetime(9999, 12, 31, 23, tzinfo=timezone(timedelta(hours=-5)))
+        with pytest.raises(ValueError, match="^timestamp is outside the calendar in UTC: "):
+            format_instant(late)
+
+
 class TestMonthArithmetic:
     """``advance`` clamps month ends from a table of month lengths."""
 
@@ -814,6 +854,61 @@ class TestFastResults:
             with pytest.raises(FrozenInstanceError):
                 result.other = 1
             assert result == before and vars(result) == vars(before)
+
+
+class TestEngineBuiltSubscriptions:
+    """``lapse_windows``, ``record_usage`` and ``reset_usage`` copy the checked
+    subscription with its new counters; such a copy equals, prints, lists its
+    fields, pickles and copies as one built by ``Subscription(...)``, and stays
+    frozen."""
+
+    @pytest.fixture()
+    def subscriptions(self, zoom, pro_huge):
+        used = record_usage(zoom, pro_huge, "maxAssistantsPerMeeting", Decimal(7), T0)
+        used = record_usage(zoom, used, "aiCompanionCredits", Decimal("12.5"), T0)
+        lapsed = lapse_windows(zoom, used, parse_instant("2024-04-15T00:00:00Z"))
+        reset = reset_usage(used, "aiCompanionCredits")
+        assert lapsed.usage["maxAssistantsPerMeeting"].window_index == 2
+        assert reset.usage["aiCompanionCredits"].used == 0
+        return [used, lapsed, reset]
+
+    @staticmethod
+    def built(subscription):
+        return Subscription(subscription.plan_name, subscription.add_on_names,
+                            subscription.start_instant, subscription.contract_period,
+                            subscription.usage)
+
+    def test_equal_and_repr_as_constructed_ones(self, subscriptions):
+        for subscription in subscriptions:
+            built = self.built(subscription)
+            assert type(subscription) is Subscription
+            assert subscription == built and built == subscription
+            assert repr(subscription) == repr(built)
+            assert vars(subscription) == vars(built)
+            assert list(vars(subscription)) == [f.name for f in fields(Subscription)]
+
+    def test_pickle_and_copies_as_constructed_ones(self, subscriptions):
+        for subscription in subscriptions:
+            built = self.built(subscription)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.dumps(subscription, protocol) == pickle.dumps(built, protocol)
+                again = pickle.loads(pickle.dumps(subscription, protocol))
+                assert type(again) is Subscription and again == built
+            for again in (copy.deepcopy(subscription), copy.copy(subscription)):
+                assert type(again) is Subscription
+                assert again == built and repr(again) == repr(built)
+
+    def test_assignment_and_deletion_raise_frozen_instance_error(self, subscriptions):
+        for subscription in subscriptions:
+            before = self.built(subscription)
+            for field in fields(Subscription):
+                with pytest.raises(FrozenInstanceError):
+                    setattr(subscription, field.name, None)
+                with pytest.raises(FrozenInstanceError):
+                    delattr(subscription, field.name)
+            with pytest.raises(FrozenInstanceError):
+                subscription.other = 1
+            assert subscription == before and vars(subscription) == vars(before)
 
 
 class TestMalformedStateOrder:
